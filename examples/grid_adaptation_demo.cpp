@@ -3,8 +3,9 @@
 // Before deploying on a real grid, rehearse the pipeline against the
 // scenario catalogue and compare schedulers: how much does adaptation buy
 // under each kind of resource dynamics, and how close does it get to the
-// perfect-knowledge oracle? This is the planning workflow the
-// AdaptivePipeline::simulate() entry point exists for.
+// perfect-knowledge oracle? This is the planning workflow that
+// sim::run_pipeline serves directly (rt::make_runtime(kSim, ...) covers
+// the single-run case).
 //
 //   ./examples/grid_adaptation_demo
 

@@ -10,8 +10,8 @@
 
 #include <iostream>
 
-#include "core/adaptive_pipeline.hpp"
 #include "grid/builders.hpp"
+#include "rt/runtime.hpp"
 #include "util/table.hpp"
 #include "util/logging.hpp"
 #include "workload/imaging.hpp"
@@ -29,14 +29,15 @@ int main() {
                                     {5.0, 12.0}}));
 
   constexpr std::size_t kWidth = 96, kHeight = 96;
-  core::AdaptivePipelineOptions options;
-  options.runtime.time_scale = 0.05;
-  options.runtime.adapt.epoch = 3.0;  // adaptation check every 3 virtual s
-  options.runtime.adapt.policy.restart_latency = 0.2;
+  rt::RuntimeOptions options;
+  options.time_scale = 0.05;
+  options.adapt.epoch = 3.0;  // adaptation check every 3 virtual s
+  options.adapt.policy.restart_latency = 0.2;
 
-  core::AdaptivePipeline pipeline(
-      g, workload::image_pipeline(kWidth, kHeight), options);
-  std::cout << "initial plan: " << pipeline.plan().mapping.to_string()
+  auto runtime = rt::make_runtime(rt::RuntimeKind::kThreads, g,
+                                  workload::image_pipeline(kWidth, kHeight),
+                                  options);
+  std::cout << "initial plan: " << runtime->planned_mapping().to_string()
             << "\n";
 
   // 2000 synthetic frames (~20+ virtual seconds of stream).
@@ -44,7 +45,7 @@ int main() {
   for (std::uint64_t f = 0; f < 2000; ++f) {
     frames.emplace_back(workload::make_test_image(kWidth, kHeight, f));
   }
-  const auto report = pipeline.run(std::move(frames));
+  const auto report = runtime->run(std::move(frames));
 
   std::cout << report.summary() << "\n";
   for (const auto& remap : report.remaps) {

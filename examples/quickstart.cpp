@@ -9,8 +9,9 @@
 #include <any>
 #include <iostream>
 
-#include "core/adaptive_pipeline.hpp"
 #include "grid/builders.hpp"
+#include "rt/runtime.hpp"
+#include "sched/perf_model.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -37,20 +38,26 @@ int main() {
           [](std::any item) { return std::any(std::any_cast<int>(item) - 2); },
           /*work=*/0.05);
 
-  // 3. Plan: where should the stages run right now?
-  core::AdaptivePipelineOptions options;
-  options.runtime.time_scale = 0.01;  // run 100x faster than modeled time
-  core::AdaptivePipeline pipeline(grid, std::move(spec), options);
-  const auto plan = pipeline.plan();
-  std::cout << "planned mapping " << plan.mapping.to_string()
+  // 3. Plan: where should the stages run right now? The runtime picks
+  //    the deployment-time mapping when it is made.
+  rt::RuntimeOptions options;
+  options.time_scale = 0.01;  // run 100x faster than modeled time
+  auto runtime = rt::make_runtime(rt::RuntimeKind::kThreads, grid,
+                                  std::move(spec), options);
+  const sched::Mapping& plan = runtime->planned_mapping();
+  std::cout << "planned mapping " << plan.to_string()
             << " with modeled throughput "
-            << util::format_double(plan.breakdown.throughput, 2)
+            << util::format_double(
+                   sched::PerfModel().throughput(
+                       runtime->profile(),
+                       sched::ResourceEstimate::from_grid(grid, 0.0), plan),
+                   2)
             << " items/s\n";
 
   // 4. Run a stream.
   std::vector<std::any> inputs;
   for (int i = 0; i < 50; ++i) inputs.emplace_back(i);
-  const auto report = pipeline.run(std::move(inputs));
+  const auto report = runtime->run(std::move(inputs));
 
   std::cout << report.summary() << "\n";
   std::cout << "f(7) = " << std::any_cast<int>(report.outputs[7])

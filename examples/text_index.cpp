@@ -9,8 +9,9 @@
 #include <iostream>
 #include <map>
 
-#include "core/adaptive_pipeline.hpp"
 #include "grid/builders.hpp"
+#include "rt/runtime.hpp"
+#include "sched/perf_model.hpp"
 #include "util/table.hpp"
 #include "workload/streams.hpp"
 #include "workload/textproc.hpp"
@@ -24,20 +25,25 @@ int main() {
       {{2, 1.0, 1e-4, 1e9}, {1, 6.0, 1e-4, 1e9}},
       /*wan_latency=*/0.03, /*wan_bandwidth=*/1e7);
 
-  core::AdaptivePipelineOptions options;
-  options.runtime.time_scale = 0.01;
-  core::AdaptivePipeline pipeline(
-      g, workload::text_pipeline(/*k=*/5, /*avg_bytes=*/4096.0), options);
+  rt::RuntimeOptions options;
+  options.time_scale = 0.01;
+  auto runtime = rt::make_runtime(
+      rt::RuntimeKind::kThreads, g,
+      workload::text_pipeline(/*k=*/5, /*avg_bytes=*/4096.0), options);
 
-  const auto plan = pipeline.plan();
-  std::cout << "chosen mapping " << plan.mapping.to_string()
+  const sched::Mapping& plan = runtime->planned_mapping();
+  std::cout << "chosen mapping " << plan.to_string()
             << " (nodes 1-2 = local site, node 3 = remote 6x machine)\n"
             << "modeled throughput "
-            << util::format_double(plan.breakdown.throughput, 2)
+            << util::format_double(
+                   sched::PerfModel().throughput(
+                       runtime->profile(),
+                       sched::ResourceEstimate::from_grid(g, 0.0), plan),
+                   2)
             << " docs/s\n";
 
   // 200 synthetic documents of ~60 words.
-  const auto report = pipeline.run(workload::text_items(200, 60, 7));
+  const auto report = runtime->run(workload::text_items(200, 60, 7));
   std::cout << report.summary() << "\n";
 
   // Merge the per-document top-k lists into a corpus-level ranking.

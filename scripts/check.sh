@@ -76,7 +76,7 @@ if [[ -z "${SKIP_TSAN:-}" && ( -z "${ONLY_SET}" || -n "${TSAN_ONLY:-}" ) ]]; the
     -DGRIDPIPE_BUILD_BENCH=OFF -DGRIDPIPE_BUILD_EXAMPLES=OFF
   cmake --build "$TSAN_BUILD_DIR" -j"$JOBS" \
     --target test_core test_dist_executor test_integration test_comm \
-    test_shm_ring test_flight
+    test_shm_ring test_flight test_stream_core
   # RUN_SERIAL already orders these; -R narrows to the threaded suites so
   # the TSan stage stays fast. The wall-clock throughput-band tests are
   # excluded: TSan's 5-15x slowdown makes their bands meaningless, and a
@@ -89,7 +89,7 @@ if [[ -z "${SKIP_TSAN:-}" && ( -z "${ONLY_SET}" || -n "${TSAN_ONLY:-}" ) ]]; the
   # exactly TSan's territory; its fork case is excluded the same way.
   (cd "$TSAN_BUILD_DIR" &&
     GTEST_FILTER='-Executor.HeterogeneityEmulationSlowsThroughput:Executor.ThroughputTracksModelPrediction:DistributedExecutor.HeterogeneityChangesThroughput:DesVsThreads.ThroughputAgreesWithinBand:ShmRingMesh.CrossProcessPushPopThroughFork:FlightRecorder.ParentReadsKilledChildsLaneAfterFork' \
-    ctest --output-on-failure -R '^(core|dist_executor|integration|comm|shm_ring|flight)$')
+    ctest --output-on-failure -R '^(core|dist_executor|integration|comm|shm_ring|flight|stream_core)$')
 fi
 
 if [[ -z "${SKIP_ASAN:-}" && ( -z "${ONLY_SET}" || -n "${ASAN_ONLY:-}" ) ]]; then

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <stdexcept>
 
 #include "comm/wire.hpp"
@@ -32,6 +31,9 @@ DistributedExecutor::DistributedExecutor(const grid::Grid& grid,
       stages_(std::move(stages)),
       initial_mapping_(std::move(initial_mapping)),
       config_(config),
+      core_("DistributedExecutor", stages_.size(), config.window,
+            config.time_scale, config.obs, grid.num_nodes() + 1,
+            config.flight_events),
       delays_(grid, rank_map(grid), config.time_scale),
       comm_(static_cast<int>(grid.num_nodes()) + 1, &delays_,
             [this] { return virtual_now(); }) {
@@ -42,28 +44,13 @@ DistributedExecutor::DistributedExecutor(const grid::Grid& grid,
   if (initial_mapping_.num_stages() != stages_.size()) {
     throw std::invalid_argument("DistributedExecutor: mapping mismatch");
   }
-  if (config_.time_scale <= 0.0) {
-    throw std::invalid_argument("DistributedExecutor: time_scale <= 0");
-  }
-  if (config_.window == 0) {
-    config_.window = std::max<std::size_t>(4, 2 * stages_.size());
-  }
   if (config_.drain_batch == 0) config_.drain_batch = 1;
-  start_ = std::chrono::steady_clock::now();
   profile_ = profile();
-  obs_metrics_.bind(config_.obs.metrics);
   controller_ = make_controller();
-  try {
-    flight_ = obs::FlightRecorder(grid_.num_nodes() + 1,
-                                  config_.flight_events);
-  } catch (const std::runtime_error&) {
-    // mmap failure: run without the forensic ring (every handle inert).
-  }
-  ctl_flight_ = flight_.ring(0);
 }
 
 DistributedExecutor::~DistributedExecutor() {
-  if (stream_active_) {
+  if (core_.active()) {
     try {
       stream_close();
       stream_finish();
@@ -79,17 +66,6 @@ DistributedExecutor::make_controller() {
       grid_, profile_, config_.adapt,
       static_cast<control::AdaptationHost&>(*this),
       control::AdaptationController::Mode::kPolicy, config_.obs);
-}
-
-BytesStageFn bytes_stage_fn(std::function<Bytes(Bytes)> fn) {
-  return [fn = std::move(fn)](ByteSpan in, Bytes& out) {
-    const Bytes result = fn(Bytes(in.begin(), in.end()));
-    const std::size_t off = out.size();
-    out.resize(off + result.size());
-    if (!result.empty()) {
-      std::memcpy(out.data() + off, result.data(), result.size());
-    }
-  };
 }
 
 sched::PipelineProfile profile_from_stages(
@@ -109,29 +85,7 @@ sched::PipelineProfile DistributedExecutor::profile() const {
 }
 
 double DistributedExecutor::virtual_now() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start_)
-             .count() /
-         config_.time_scale;
-}
-
-Bytes DistributedExecutor::encode_task(std::uint64_t item,
-                                       std::uint32_t stage,
-                                       const Bytes& payload) {
-  return comm::wire::encode_task(item, stage, payload);
-}
-
-void DistributedExecutor::decode_task(const Bytes& wire, std::uint64_t& item,
-                                      std::uint32_t& stage, Bytes& payload) {
-  comm::wire::decode_task(wire, item, stage, payload);
-}
-
-Bytes DistributedExecutor::encode_mapping(const sched::Mapping& mapping) {
-  return comm::wire::encode_mapping(mapping);
-}
-
-sched::Mapping DistributedExecutor::decode_mapping(const Bytes& wire) {
-  return comm::wire::decode_mapping(wire);
+  return core_.virtual_now();
 }
 
 void DistributedExecutor::worker_loop(int rank) {
@@ -142,8 +96,7 @@ void DistributedExecutor::worker_loop(int rank) {
     // stream: capture the first error; the controller loop notices it
     // within one poll tick and shuts the fleet down, and
     // stream_finish() rethrows it to the caller.
-    util::MutexLock lock(stream_mutex_);
-    if (!stream_error_) stream_error_ = std::current_exception();
+    core_.fail(std::current_exception());
   }
 }
 
@@ -152,7 +105,8 @@ void DistributedExecutor::worker_loop_impl(int rank) {
                        sched::ReplicaRouter(stages_.size())};
   const auto node = static_cast<grid::NodeId>(rank);
   // Single writer for this lane: this thread is rank `rank`'s only one.
-  obs::FlightRing flight = flight_.ring(1 + static_cast<std::size_t>(rank));
+  obs::FlightRing flight =
+      core_.recorder().ring(1 + static_cast<std::size_t>(rank));
 
   // Worker-side telemetry is buffered locally and shipped to the
   // controller rank as kTelemetry messages after each drained batch —
@@ -198,7 +152,7 @@ void DistributedExecutor::worker_loop_impl(int rank) {
     // Each remap fully overwrites the previous one, so only the newest in
     // the batch needs decoding.
     if (last_remap) {
-      routing.mapping = decode_mapping(last_remap->payload);
+      routing.mapping = comm::wire::decode_mapping(last_remap->payload);
       routing.router.reset(stages_.size());
     }
 
@@ -291,16 +245,10 @@ void DistributedExecutor::record_probes(double) {
 
 void DistributedExecutor::apply_remap(const sched::Mapping& to,
                                       double pause_virtual) {
-  ctl_flight_.record(obs::FlightKind::kRemap, virtual_now());
-  metrics_.on_remap(virtual_now(), pause_virtual,
-                    controller_mapping_.to_string(), to.to_string());
+  core_.on_remap(pause_virtual, to.to_string());
   controller_mapping_ = to;
   controller_router_.reset(stages_.size());
-  {
-    util::MutexLock lock(stream_mutex_);
-    status_mapping_ = controller_mapping_.to_string();
-  }
-  const Bytes wire = encode_mapping(controller_mapping_);
+  const Bytes wire = comm::wire::encode_mapping(controller_mapping_);
   for (int rank = 0; rank < controller_rank(); ++rank) {
     comm_.send(controller_rank(), rank, kRemap, wire);
   }
@@ -308,31 +256,6 @@ void DistributedExecutor::apply_remap(const sched::Mapping& to,
 
 void DistributedExecutor::controller_loop() {
   const int me = controller_rank();
-  // Pushed-but-not-admitted items, in input order (local to the
-  // controller thread; stream_push only touches incoming_).
-  std::deque<std::pair<std::uint64_t, Bytes>> pending;
-  std::uint64_t admitted = 0;
-  std::uint64_t completed = 0;
-
-  auto admit = [&](std::uint64_t index, Bytes payload) {
-    const grid::NodeId dst = controller_router_.pick(controller_mapping_, 0);
-    Bytes wire = pool_.acquire();
-    comm::wire::encode_task_into(wire, index, 0, payload);
-    comm_.send(me, static_cast<int>(dst), kTask, std::move(wire));
-    pool_.release(std::move(payload));
-    const double vnow = virtual_now();
-    admit_time_[index] = vnow;
-    ctl_flight_.record(obs::FlightKind::kAdmit, vnow, 0, index);
-    obs::record_span(config_.obs.tracer, obs::SpanKind::kAdmit, "admit", vnow,
-                     0.0, 0, index);
-    ++admitted;
-    if (admitted - completed >= config_.window) {
-      // The credit window just filled: the next push will queue.
-      ctl_flight_.record(obs::FlightKind::kCredit, vnow, 0,
-                         admitted - completed, config_.window);
-    }
-  };
-
   const double epoch = config_.adapt.epoch;
   double next_epoch = epoch;
 
@@ -340,31 +263,10 @@ void DistributedExecutor::controller_loop() {
     if (message.tag == kResult) {
       const comm::wire::TaskView task =
           comm::wire::decode_task(comm::wire::ByteSpan(message.payload));
-      const std::uint64_t item = task.item;
-      double created_at = 0.0;
-      if (auto it = admit_time_.find(item); it != admit_time_.end()) {
-        created_at = it->second;
-        admit_time_.erase(it);
-      }
-      const double vnow = virtual_now();
-      metrics_.on_item_completed(item, vnow, created_at);
-      obs::record_span(config_.obs.tracer, obs::SpanKind::kItem, "item",
-                       created_at, vnow - created_at, 0, item);
-      if (obs_metrics_.items_completed) {
-        obs_metrics_.items_completed->add(1);
-        obs_metrics_.item_latency->record(vnow - created_at);
-      }
-      ++completed;
-      ctl_flight_.record(obs::FlightKind::kComplete, vnow, 0, item);
       // The output crosses the API boundary, so it must own its bytes:
       // one copy out of the wire buffer, then the buffer recycles.
-      Bytes payload(task.payload.begin(), task.payload.end());
-      {
-        util::MutexLock lock(stream_mutex_);
-        out_buffer_.emplace(item, std::move(payload));
-        if (config_.obs.tracer) completed_at_.emplace(item, vnow);
-        ++completed_count_;
-      }
+      core_.complete(task.item,
+                     Bytes(task.payload.begin(), task.payload.end()));
       pool_.release(std::move(message.payload));
     } else if (message.tag == kSpeedObs) {
       controller_->record_observation(
@@ -380,24 +282,16 @@ void DistributedExecutor::controller_loop() {
   };
 
   for (;;) {
-    // Take ownership of freshly pushed items, then admit under the
-    // credit window.
-    bool done = false;
-    {
-      util::MutexLock lock(stream_mutex_);
-      while (!incoming_.empty()) {
-        pending.push_back(std::move(incoming_.front()));
-        incoming_.pop_front();
-      }
-      done = (closed_ && completed == pushed_) || stream_error_ != nullptr;
-      status_admitted_ = admitted;
+    // Admit pushed items under the credit window, then check for the
+    // end of the stream (closed and drained, or a worker failed).
+    while (auto admitted = core_.admit_next()) {
+      const grid::NodeId dst = controller_router_.pick(controller_mapping_, 0);
+      Bytes wire = pool_.acquire();
+      comm::wire::encode_task_into(wire, admitted->seq, 0, admitted->item);
+      comm_.send(me, static_cast<int>(dst), kTask, std::move(wire));
+      pool_.release(std::move(admitted->item));
     }
-    while (!pending.empty() && admitted - completed < config_.window) {
-      auto entry = std::move(pending.front());
-      pending.pop_front();
-      admit(entry.first, std::move(entry.second));
-    }
-    if (done) break;
+    if (core_.done()) break;
 
     // Wait at most until the next adaptation point, capped at 50 ms real
     // either way: nothing wakes recv_for on a stream_push/stream_close,
@@ -419,48 +313,25 @@ void DistributedExecutor::controller_loop() {
     }
     if (epoch > 0.0 && virtual_now() >= next_epoch) {
       const control::EpochRecord record = controller_->run_epoch();
-      ctl_flight_.record(
-          obs::FlightKind::kEpoch, record.time,
-          (record.decided ? 1u : 0u) | (record.remapped ? 2u : 0u));
+      core_.flight(obs::FlightKind::kEpoch, record.time,
+                   (record.decided ? 1u : 0u) | (record.remapped ? 2u : 0u));
       next_epoch += epoch;
     }
   }
 
-  ctl_flight_.record(obs::FlightKind::kClose, virtual_now());
   for (int rank = 0; rank < me; ++rank) {
     comm_.send(me, rank, kShutdown, {});
   }
 }
 
 void DistributedExecutor::stream_begin() {
-  if (stream_active_) {
-    throw std::logic_error("DistributedExecutor: a stream is already active");
-  }
+  core_.begin(initial_mapping_.to_string());
   // Fresh controller per stream: the virtual clock restarts at 0, so gate
   // snapshots, hysteresis streaks and registry timestamps from a
   // previous stream would all be stale.
   controller_ = make_controller();
-
-  {
-    util::MutexLock lock(stream_mutex_);
-    incoming_.clear();
-    out_buffer_.clear();
-    completed_at_.clear();
-    next_out_ = 0;
-    pushed_ = 0;
-    completed_count_ = 0;
-    closed_ = false;
-    stream_error_ = nullptr;
-    status_mapping_ = initial_mapping_.to_string();
-    status_admitted_ = 0;
-  }
-  admit_time_.clear();
   controller_mapping_ = initial_mapping_;
   controller_router_.reset(stages_.size());
-  metrics_ = sim::SimMetrics{};  // time series restart with the clock
-  start_ = std::chrono::steady_clock::now();
-  initial_mapping_str_ = initial_mapping_.to_string();
-  stream_active_ = true;
 
   for (int rank = 0; rank < controller_rank(); ++rank) {
     worker_threads_.emplace_back([this, rank] { worker_loop(rank); });
@@ -469,49 +340,17 @@ void DistributedExecutor::stream_begin() {
 }
 
 void DistributedExecutor::stream_push(Bytes item) {
-  util::MutexLock lock(stream_mutex_);
-  if (!stream_active_ || closed_) {
-    throw std::logic_error("DistributedExecutor: push on a closed stream");
-  }
-  incoming_.emplace_back(pushed_++, std::move(item));
-  if (obs_metrics_.items_pushed) obs_metrics_.items_pushed->add(1);
+  core_.push(std::move(item));
 }
 
 std::optional<Bytes> DistributedExecutor::stream_try_pop() {
-  util::MutexLock lock(stream_mutex_);
-  auto it = out_buffer_.find(next_out_);
-  if (it == out_buffer_.end()) return std::nullopt;
-  Bytes out = std::move(it->second);
-  out_buffer_.erase(it);
-  if (config_.obs.tracer) {
-    if (auto done = completed_at_.find(next_out_);
-        done != completed_at_.end()) {
-      obs::record_span(config_.obs.tracer, obs::SpanKind::kWait, "wait",
-                       done->second, virtual_now() - done->second, 0,
-                       next_out_);
-      completed_at_.erase(done);
-    }
-  }
-  ++next_out_;
-  return out;
+  return core_.try_pop();
 }
 
-void DistributedExecutor::stream_close() {
-  util::MutexLock lock(stream_mutex_);
-  closed_ = true;
-}
+void DistributedExecutor::stream_close() { core_.close(); }
 
 RunReport DistributedExecutor::stream_finish() {
-  if (!stream_active_) {
-    throw std::logic_error("DistributedExecutor: no active stream to finish");
-  }
-  {
-    util::MutexLock lock(stream_mutex_);
-    if (!closed_) {
-      throw std::logic_error(
-          "DistributedExecutor: stream_close() before stream_finish()");
-    }
-  }
+  core_.check_finishable();
   controller_thread_.join();
   for (auto& t : worker_threads_) t.join();
   worker_threads_.clear();
@@ -526,45 +365,11 @@ RunReport DistributedExecutor::stream_finish() {
       }
     }
   }
-  stream_active_ = false;
-  {
-    util::MutexLock lock(stream_mutex_);
-    if (stream_error_) std::rethrow_exception(stream_error_);
-  }
-
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-          .count();
-  std::uint64_t items = 0;
-  {
-    util::MutexLock lock(stream_mutex_);
-    items = completed_count_;
-  }
-  RunReport report;
-  // The controller thread is joined; move the O(items) metric series.
-  finalize_stream_report(report, items, wall, config_.time_scale,
-                         std::move(metrics_), controller_->take_epochs(),
-                         std::move(initial_mapping_str_),
-                         controller_mapping_.to_string());
-  return report;
+  return core_.finish(controller_->take_epochs());
 }
 
 util::Json DistributedExecutor::status() const {
-  util::Json doc = util::Json::object();
-  doc["substrate"] = "dist";
-  doc["virtual_time"] = virtual_now();
-  doc["window"] = static_cast<std::uint64_t>(config_.window);
-  util::MutexLock lock(stream_mutex_);
-  doc["mapping"] = status_mapping_;
-  doc["pushed"] = pushed_;
-  doc["admitted"] = status_admitted_;
-  doc["completed"] = completed_count_;
-  doc["in_flight"] =
-      status_admitted_ - std::min(completed_count_, status_admitted_);
-  doc["buffered_out"] = static_cast<std::uint64_t>(out_buffer_.size());
-  doc["next_out"] = next_out_;
-  doc["closed"] = closed_;
-  return doc;
+  return core_.status("dist");
 }
 
 RunReport DistributedExecutor::run(std::vector<Bytes> inputs) {

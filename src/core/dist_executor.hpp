@@ -30,13 +30,11 @@
 // The runtime is natively streaming: the controller rank runs on a
 // dedicated thread, stream_push() enqueues items it admits under the
 // credit window, stream_try_pop() returns outputs in input order, and
-// run() is a batch wrapper over one stream.
+// run() is a batch wrapper over one stream. The stream state lives in
+// the shared core::StreamCore; this class keeps the ranks and their
+// message loops.
 
-#include <atomic>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -46,13 +44,11 @@
 #include "control/adaptation_controller.hpp"
 #include "core/codec.hpp"
 #include "core/report.hpp"
+#include "core/stream_core.hpp"
 #include "obs/flight.hpp"
-#include "obs/metrics.hpp"
 #include "obs/sinks.hpp"
 #include "sched/replica_router.hpp"
 #include "util/json.hpp"
-#include "util/sync.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace gridpipe::core {
 
@@ -70,10 +66,6 @@ struct DistStage {
   double out_bytes = 1024;
   double state_bytes = 0.0;
 };
-
-/// Adapts a legacy Bytes → Bytes function to the append contract (one
-/// copy per call; fine for tests and examples, not the hot path).
-BytesStageFn bytes_stage_fn(std::function<Bytes(Bytes)> fn);
 
 /// Scheduler profile derived from a Bytes → Bytes stage vector — the one
 /// approximation (input bytes ≈ first stage's message size) every
@@ -131,15 +123,6 @@ class DistributedExecutor : private control::AdaptationHost {
   static constexpr int kSpeedObs = 5;
   static constexpr int kTelemetry = 6;
 
-  /// Wire format helpers (public for tests); thin delegates to the
-  /// shared comm::wire codec, so the proc runtime speaks the same bytes.
-  static Bytes encode_task(std::uint64_t item, std::uint32_t stage,
-                           const Bytes& payload);
-  static void decode_task(const Bytes& wire, std::uint64_t& item,
-                          std::uint32_t& stage, Bytes& payload);
-  static Bytes encode_mapping(const sched::Mapping& mapping);
-  static sched::Mapping decode_mapping(const Bytes& wire);
-
  private:
   struct RoutingTable {
     // Guarded copy per worker; only the owning worker touches it outside
@@ -161,7 +144,7 @@ class DistributedExecutor : private control::AdaptationHost {
 
   void worker_loop(int rank);
   /// Body of worker_loop; a stage exception escaping it is captured into
-  /// stream_error_ and ends the stream.
+  /// the stream core and ends the stream.
   void worker_loop_impl(int rank);
   /// The controller rank's event loop: admits pushed items under the
   /// credit window, collects results into the output buffer, feeds speed
@@ -177,6 +160,10 @@ class DistributedExecutor : private control::AdaptationHost {
   std::vector<DistStage> stages_;
   sched::Mapping initial_mapping_;
   DistExecutorConfig config_;
+  /// Stream lifecycle, admission, ordered output, errors, status. Its
+  /// flight recorder's lane 0 is the controller rank, lane 1 + n worker
+  /// rank n.
+  StreamCore<Bytes> core_;
 
   comm::GridDelayModel delays_;
   comm::Communicator comm_;
@@ -185,7 +172,6 @@ class DistributedExecutor : private control::AdaptationHost {
   /// consumed payloads back, so a steady-state hop allocates nothing.
   /// (Internally synchronized; no GUARDED_BY needed.)
   comm::wire::BufferPool pool_;
-  std::chrono::steady_clock::time_point start_{};
 
   // Controller-side state (touched only by the controller thread while a
   // stream is live).
@@ -193,46 +179,9 @@ class DistributedExecutor : private control::AdaptationHost {
   std::unique_ptr<control::AdaptationController> controller_;
   sched::Mapping controller_mapping_;
   sched::ReplicaRouter controller_router_;
-  sim::SimMetrics metrics_;
-
-  // Stream state shared between the pushing/popping caller and the
-  // controller thread.
-  mutable util::Mutex stream_mutex_;
-  std::deque<std::pair<std::uint64_t, Bytes>> incoming_
-      GRIDPIPE_GUARDED_BY(stream_mutex_);
-  std::map<std::uint64_t, Bytes> out_buffer_
-      GRIDPIPE_GUARDED_BY(stream_mutex_);
-  /// Virtual completion time per buffered output; populated only when
-  /// tracing (feeds the ordered-buffer wait span on pop).
-  std::map<std::uint64_t, double> completed_at_
-      GRIDPIPE_GUARDED_BY(stream_mutex_);
-  std::uint64_t next_out_ GRIDPIPE_GUARDED_BY(stream_mutex_) = 0;
-  std::uint64_t pushed_ GRIDPIPE_GUARDED_BY(stream_mutex_) = 0;
-  std::uint64_t completed_count_ GRIDPIPE_GUARDED_BY(stream_mutex_) = 0;
-  bool closed_ GRIDPIPE_GUARDED_BY(stream_mutex_) = false;
-  /// First stage exception; ends the stream and is rethrown by
-  /// stream_finish().
-  std::exception_ptr stream_error_ GRIDPIPE_GUARDED_BY(stream_mutex_);
-  /// Virtual admission time per in-flight item (controller thread only;
-  /// for latency metrics).
-  std::map<std::uint64_t, double> admit_time_;
-  /// Deployed-mapping string for status(): controller_mapping_ itself is
-  /// controller-thread-only, so remaps mirror it here under the lock.
-  std::string status_mapping_ GRIDPIPE_GUARDED_BY(stream_mutex_);
-  std::uint64_t status_admitted_ GRIDPIPE_GUARDED_BY(stream_mutex_) = 0;
 
   std::vector<std::thread> worker_threads_;
   std::thread controller_thread_;
-  bool stream_active_ = false;
-  std::string initial_mapping_str_;
-  /// Pre-resolved obs handles (all null when config_.obs.metrics is).
-  obs::StandardMetrics obs_metrics_;
-
-  /// Always-on forensic flight recorder: lane 0 is the controller rank
-  /// (its thread is the sole writer — admissions, completions, remaps,
-  /// epochs all run there), lane 1 + n is worker rank n.
-  obs::FlightRecorder flight_;
-  obs::FlightRing ctl_flight_;
 };
 
 }  // namespace gridpipe::core

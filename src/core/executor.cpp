@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 
+#include "obs/trace.hpp"
+
 namespace gridpipe::core {
 
 namespace {
@@ -19,39 +21,24 @@ Executor::Executor(const grid::Grid& grid, PipelineSpec spec,
       spec_(std::move(spec)),
       profile_(spec_.to_profile()),
       config_(config),
+      core_("Executor", spec_.num_stages(), config.window, config.time_scale,
+            config.obs, grid.num_nodes() + 1, config.flight_events),
       mapping_(std::move(initial_mapping)),
       rng_(config.seed) {
   mapping_.validate(grid_.num_nodes());
   if (mapping_.num_stages() != spec_.num_stages()) {
     throw std::invalid_argument("Executor: mapping/spec stage mismatch");
   }
-  if (config_.time_scale <= 0.0) {
-    throw std::invalid_argument("Executor: time_scale <= 0");
-  }
-  if (config_.window == 0) {
-    config_.window = std::max<std::size_t>(4, 2 * spec_.num_stages());
-  }
   if (config_.drain_batch == 0) config_.drain_batch = 1;
   router_.reset(spec_.num_stages());
   for (std::size_t n = 0; n < grid_.num_nodes(); ++n) {
     workers_.push_back(std::make_unique<NodeWorker>());
   }
-  obs_metrics_.bind(config_.obs.metrics);
   controller_ = make_controller();
-  try {
-    flight_ = obs::FlightRecorder(grid_.num_nodes() + 1,
-                                  config_.flight_events);
-  } catch (const std::runtime_error&) {
-    // mmap failure: run without the forensic ring (every handle inert).
-  }
-  {
-    util::MutexLock lock(routing_mutex_);
-    ctl_flight_ = flight_.ring(0);
-  }
 }
 
 Executor::~Executor() {
-  if (stream_active_) {
+  if (core_.active()) {
     try {
       stream_close();
       stream_finish();
@@ -69,10 +56,7 @@ std::unique_ptr<control::AdaptationController> Executor::make_controller() {
       control::AdaptationController::Mode::kPolicy, config_.obs);
 }
 
-double Executor::virtual_now() const {
-  return std::chrono::duration<double>(Clock::now() - start_).count() /
-         config_.time_scale;
-}
+double Executor::virtual_now() const { return core_.virtual_now(); }
 
 sched::Mapping Executor::deployed_mapping() const {
   util::MutexLock lock(routing_mutex_);
@@ -83,30 +67,22 @@ grid::NodeId Executor::pick_replica_locked(std::size_t stage) {
   return router_.pick(mapping_, stage);
 }
 
-void Executor::admit_locked(std::uint64_t index, std::any payload) {
-  RtTask task;
-  task.stage = 0;
-  task.item = index;
-  task.payload = std::move(payload);
-  task.deliver_at = Clock::now();
-  ++admitted_;
-  const double vnow = virtual_now();
-  admit_time_[index] = vnow;
-  ctl_flight_.record(obs::FlightKind::kAdmit, vnow, 0, index);
-  if (admitted_ - completed_count_.load() >= config_.window) {
-    // The credit window just filled: the next push will queue.
-    ctl_flight_.record(obs::FlightKind::kCredit, vnow, 0,
-                       admitted_ - completed_count_.load(), config_.window);
+void Executor::admit_ready() {
+  while (auto admitted = core_.admit_next()) {
+    RtTask task;
+    task.item = admitted->seq;
+    task.payload = std::move(admitted->item);
+    task.deliver_at = Clock::now();
+    // Lock order: routing, then node — same nesting as apply_remap, so
+    // the task lands before its drain or is routed per the new mapping.
+    util::MutexLock routing_lock(routing_mutex_);
+    NodeWorker& w = *workers_[pick_replica_locked(0)];
+    {
+      util::MutexLock node_lock(w.mutex);
+      w.queue.push_back(std::move(task));
+    }
+    w.cv.notify_one();
   }
-  obs::record_span(config_.obs.tracer, obs::SpanKind::kAdmit, "admit", vnow,
-                   0.0, 0, index);
-  const grid::NodeId node = pick_replica_locked(0);
-  NodeWorker& w = *workers_[node];
-  {
-    util::MutexLock node_lock(w.mutex);
-    w.queue.push_back(std::move(task));
-  }
-  w.cv.notify_one();
 }
 
 std::vector<Executor::RtTask> Executor::next_tasks(grid::NodeId node,
@@ -160,15 +136,9 @@ void Executor::worker_loop(grid::NodeId node) {
     worker_loop_impl(node);
   } catch (...) {
     // A throwing stage function ends the stream: capture the first
-    // error (Session::report rethrows it), stop every worker, and wake
-    // the controller out of its completion wait. stream_error_ is
-    // stored under result_mutex_ before the notify, so the controller's
-    // predicate cannot miss it.
-    {
-      util::MutexLock lock(result_mutex_);
-      if (!stream_error_) stream_error_ = std::current_exception();
-    }
-    result_cv_.notify_all();
+    // error (Session::report rethrows it; fail() also wakes the
+    // controller out of its completion wait) and stop every worker.
+    core_.fail(std::current_exception());
     signal_done();
   }
 }
@@ -176,7 +146,7 @@ void Executor::worker_loop(grid::NodeId node) {
 void Executor::worker_loop_impl(grid::NodeId node) {
   // Single writer for this lane: this thread is the only one ever
   // executing tasks for `node` while the stream is live.
-  obs::FlightRing flight = flight_.ring(1 + node);
+  obs::FlightRing flight = core_.recorder().ring(1 + node);
   for (;;) {
     std::uint64_t gen = 0;
     auto tasks = next_tasks(node, config_.drain_batch, gen);
@@ -223,16 +193,13 @@ void Executor::worker_loop_impl(grid::NodeId node) {
                     static_cast<std::uint32_t>(task.stage), task.item,
                     std::bit_cast<std::uint64_t>(duration_virtual));
 
-      {
-        util::MutexLock lock(metrics_mutex_);
-        metrics_.on_service(task.stage, duration_virtual);
-      }
+      core_.on_service(task.stage, duration_virtual);
       obs::record_span(config_.obs.tracer, obs::SpanKind::kStage,
                        spec_.at(task.stage).name.c_str(), v0, duration_virtual,
                        static_cast<std::uint32_t>(1 + node), task.item,
                        static_cast<std::uint32_t>(task.stage));
-      if (obs_metrics_.stage_service) {
-        obs_metrics_.stage_service->record(duration_virtual);
+      if (core_.obs_metrics().stage_service) {
+        core_.obs_metrics().stage_service->record(duration_virtual);
       }
       if (duration_virtual > 0.0) {
         controller_->record_observation(
@@ -267,7 +234,10 @@ void Executor::requeue_per_mapping(std::vector<RtTask> tasks) {
 void Executor::route_onward(grid::NodeId from, RtTask task) {
   const std::size_t next_stage = task.stage + 1;
   if (next_stage == spec_.num_stages()) {
-    complete_item(task.item, std::move(task.payload));
+    // A completion frees one unit of in-flight credit: admit the oldest
+    // pending push, if any, right here on the completing worker.
+    core_.complete(task.item, std::move(task.payload));
+    admit_ready();
     return;
   }
   grid::NodeId dst;
@@ -289,46 +259,6 @@ void Executor::route_onward(grid::NodeId from, RtTask task) {
     w.queue.push_back(std::move(task));
   }
   w.cv.notify_one();
-}
-
-void Executor::complete_item(std::uint64_t item, std::any output) {
-  double created_at = 0.0;
-  {
-    util::MutexLock lock(routing_mutex_);
-    if (auto it = admit_time_.find(item); it != admit_time_.end()) {
-      created_at = it->second;
-      admit_time_.erase(it);
-    }
-  }
-  const double vnow = virtual_now();
-  {
-    util::MutexLock lock(metrics_mutex_);
-    metrics_.on_item_completed(item, vnow, created_at);
-  }
-  obs::record_span(config_.obs.tracer, obs::SpanKind::kItem, "item",
-                   created_at, vnow - created_at, 0, item);
-  if (obs_metrics_.items_completed) {
-    obs_metrics_.items_completed->add(1);
-    obs_metrics_.item_latency->record(vnow - created_at);
-  }
-  {
-    util::MutexLock lock(result_mutex_);
-    out_buffer_.emplace(item, std::move(output));
-    if (config_.obs.tracer) completed_at_.emplace(item, vnow);
-    completed_count_.fetch_add(1);
-  }
-  // Wake the controller (completion predicate) and any output poller.
-  result_cv_.notify_all();
-  // A completion frees one unit of in-flight credit: admit the oldest
-  // pending push, if any.
-  util::MutexLock lock(routing_mutex_);
-  ctl_flight_.record(obs::FlightKind::kComplete, vnow, 0, item);
-  while (!pending_.empty() &&
-         admitted_ - completed_count_.load() < config_.window) {
-    auto entry = std::move(pending_.front());
-    pending_.pop_front();
-    admit_locked(entry.first, std::move(entry.second));
-  }
 }
 
 void Executor::record_probes(double vnow) {
@@ -360,16 +290,7 @@ void Executor::apply_remap(const sched::Mapping& to, double pause_virtual) {
   freeze_until_.store(freeze_end.time_since_epoch().count(),
                       std::memory_order_release);
 
-  sim::RemapEvent event;
-  event.time = virtual_now();
-  event.pause = pause_virtual;
-  event.from = mapping_.to_string();
-  event.to = to.to_string();
-  ctl_flight_.record(obs::FlightKind::kRemap, event.time);
-  {
-    util::MutexLock lock(metrics_mutex_);
-    metrics_.on_remap(std::move(event));
-  }
+  core_.on_remap(pause_virtual, to.to_string());
 
   // Seqlock-style generation: bump before draining and again after
   // redistributing. A worker batch extracted at any point that this
@@ -413,74 +334,28 @@ void Executor::signal_done() {
 void Executor::controller_loop() {
   if (config_.adapt.epoch <= 0.0) {
     // No adaptation: just wait for end-of-stream.
-    util::MutexLock lock(result_mutex_);
-    while (!stream_done_locked()) result_cv_.wait(result_mutex_);
+    core_.wait_done();
     return;
   }
   const auto epoch_real = to_real(config_.adapt.epoch, config_.time_scale);
-
-  for (;;) {
-    {
-      const auto deadline = Clock::now() + epoch_real;
-      util::MutexLock lock(result_mutex_);
-      bool stream_done = false;
-      while (!(stream_done = stream_done_locked())) {
-        if (result_cv_.wait_until(result_mutex_, deadline) ==
-            std::cv_status::timeout) {
-          stream_done = stream_done_locked();
-          break;
-        }
-      }
-      if (stream_done) return;
-    }
+  while (!core_.wait_done_until(Clock::now() + epoch_real)) {
     const control::EpochRecord record = controller_->run_epoch();
-    {
-      // Lane 0 has multiple potential writers (pushers, workers, this
-      // thread); routing_mutex_ serializes them all.
-      util::MutexLock lock(routing_mutex_);
-      ctl_flight_.record(
-          obs::FlightKind::kEpoch, record.time,
-          (record.decided ? 1u : 0u) | (record.remapped ? 2u : 0u));
-    }
+    core_.flight(obs::FlightKind::kEpoch, record.time,
+                 (record.decided ? 1u : 0u) | (record.remapped ? 2u : 0u));
   }
 }
 
 void Executor::stream_begin() {
-  if (stream_active_) {
-    throw std::logic_error("Executor: a stream is already active");
+  {
+    util::MutexLock lock(routing_mutex_);
+    core_.begin(mapping_.to_string());
   }
   // Fresh controller per stream: the virtual clock restarts at 0, so gate
   // snapshots, hysteresis streaks and registry timestamps from a
   // previous stream would all be stale.
   controller_ = make_controller();
-
-  {
-    util::MutexLock lock(result_mutex_);
-    out_buffer_.clear();
-    completed_at_.clear();
-    next_out_ = 0;
-    completed_count_.store(0);
-    stream_error_ = nullptr;
-  }
   done_.store(false);
   freeze_until_.store(0);
-  {
-    // Metrics restart with the virtual clock (their time series require
-    // monotonic timestamps).
-    util::MutexLock lock(metrics_mutex_);
-    metrics_ = sim::SimMetrics{};
-  }
-  {
-    util::MutexLock lock(routing_mutex_);
-    pending_.clear();
-    admit_time_.clear();
-    admitted_ = 0;
-    pushed_.store(0);
-    closed_.store(false);
-    initial_mapping_str_ = mapping_.to_string();
-  }
-  start_ = Clock::now();
-  stream_active_ = true;
 
   threads_.reserve(workers_.size());
   for (grid::NodeId n = 0; n < workers_.size(); ++n) {
@@ -490,120 +365,25 @@ void Executor::stream_begin() {
 }
 
 void Executor::stream_push(std::any item) {
-  util::MutexLock lock(routing_mutex_);
-  if (!stream_active_ || closed_.load()) {
-    throw std::logic_error("Executor: push on a closed stream");
-  }
-  const std::uint64_t index = pushed_.fetch_add(1);
-  if (obs_metrics_.items_pushed) obs_metrics_.items_pushed->add(1);
-  if (admitted_ - completed_count_.load() < config_.window) {
-    admit_locked(index, std::move(item));
-  } else {
-    pending_.emplace_back(index, std::move(item));
-  }
+  core_.push(std::move(item));
+  admit_ready();
 }
 
-std::optional<std::any> Executor::stream_try_pop() {
-  util::MutexLock lock(result_mutex_);
-  auto it = out_buffer_.find(next_out_);
-  if (it == out_buffer_.end()) return std::nullopt;
-  std::any out = std::move(it->second);
-  out_buffer_.erase(it);
-  if (config_.obs.tracer) {
-    if (auto done = completed_at_.find(next_out_);
-        done != completed_at_.end()) {
-      const double vnow = virtual_now();
-      obs::record_span(config_.obs.tracer, obs::SpanKind::kWait, "wait",
-                       done->second, vnow - done->second, 0, next_out_);
-      completed_at_.erase(done);
-    }
-  }
-  ++next_out_;
-  return out;
-}
+std::optional<std::any> Executor::stream_try_pop() { return core_.try_pop(); }
 
-void Executor::stream_close() {
-  {
-    util::MutexLock lock(routing_mutex_);
-    ctl_flight_.record(obs::FlightKind::kClose, virtual_now());
-  }
-  // closed_ participates in the controller's completion predicate, so
-  // the store must happen under result_mutex_: otherwise the controller
-  // can read closed_ == false in the predicate, miss this notify while
-  // still between predicate and re-block, and sleep forever (no further
-  // completion will ever notify again).
-  util::MutexLock lock(result_mutex_);
-  closed_.store(true);
-  result_cv_.notify_all();
-}
+void Executor::stream_close() { core_.close(); }
 
 RunReport Executor::stream_finish() {
-  if (!stream_active_) {
-    throw std::logic_error("Executor: no active stream to finish");
-  }
-  if (!closed_.load()) {
-    throw std::logic_error("Executor: stream_close() before stream_finish()");
-  }
+  core_.check_finishable();
   controller_thread_.join();
-
   signal_done();
   for (auto& thread : threads_) thread.join();
   threads_.clear();
-  stream_active_ = false;
-  {
-    util::MutexLock lock(result_mutex_);
-    if (stream_error_) std::rethrow_exception(stream_error_);
-  }
-
-  const double wall =
-      std::chrono::duration<double>(Clock::now() - start_).count();
-  sim::SimMetrics metrics_taken;
-  {
-    // Every thread is joined by now; the lock is only for form. Move,
-    // don't copy — the metric series are O(items). stream_begin resets
-    // the moved-from member.
-    util::MutexLock lock(metrics_mutex_);
-    metrics_taken = std::move(metrics_);
-  }
-  std::string final_mapping;
-  {
-    util::MutexLock lock(routing_mutex_);
-    final_mapping = mapping_.to_string();
-  }
-  RunReport report;
-  finalize_stream_report(report, completed_count_.load(), wall,
-                         config_.time_scale, std::move(metrics_taken),
-                         controller_->take_epochs(),
-                         std::move(initial_mapping_str_),
-                         std::move(final_mapping));
-  return report;
+  return core_.finish(controller_->take_epochs());
 }
 
 util::Json Executor::status() const {
-  util::Json doc = util::Json::object();
-  doc["substrate"] = "threads";
-  doc["virtual_time"] = virtual_now();
-  doc["window"] = static_cast<std::uint64_t>(config_.window);
-  std::uint64_t admitted = 0;
-  {
-    util::MutexLock lock(routing_mutex_);
-    admitted = admitted_;
-    doc["mapping"] = mapping_.to_string();
-    doc["pushed"] = pushed_.load();
-    doc["admitted"] = admitted_;
-    doc["pending"] = static_cast<std::uint64_t>(pending_.size());
-    doc["closed"] = closed_.load();
-  }
-  // completed_count_ is read after admitted_, so clamp: completions that
-  // landed between the two reads must not underflow in_flight.
-  const std::uint64_t completed = completed_count_.load();
-  doc["completed"] = completed;
-  doc["in_flight"] = admitted - std::min(completed, admitted);
-  {
-    util::MutexLock lock(result_mutex_);
-    doc["buffered_out"] = static_cast<std::uint64_t>(out_buffer_.size());
-    doc["next_out"] = next_out_;
-  }
+  util::Json doc = core_.status("threads");
   util::Json workers = util::Json::array();
   for (std::size_t n = 0; n < workers_.size(); ++n) {
     util::Json w = util::Json::object();

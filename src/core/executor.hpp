@@ -13,19 +13,20 @@
 // deployed_mapping / apply_remap / record_probes).
 //
 // The runtime is natively streaming: stream_begin() starts the workers
-// and controller, stream_push() admits items under the credit window
-// (excess queues until completions free credit), stream_try_pop() hands
-// outputs back in input order (Pipeline1for1 semantics), stream_close()
-// marks end-of-stream and stream_finish() joins everything and returns
-// the RunReport. The batch run() entry point is a thin wrapper over one
-// stream. One stream at a time; rt::make_runtime wraps all of this
-// behind the uniform Session interface.
+// and controller, stream_push() admits items under the credit window on
+// the pushing thread (excess queues until a completing worker frees
+// credit and admits it), stream_try_pop() hands outputs back in input
+// order (Pipeline1for1 semantics), stream_close() marks end-of-stream
+// and stream_finish() joins everything and returns the RunReport. The
+// stream state itself lives in the shared core::StreamCore; this class
+// keeps the worker queues, routing and the remap freeze. The batch run()
+// entry point is a thin wrapper over one stream. One stream at a time;
+// rt::make_runtime wraps all of this behind the uniform Session
+// interface.
 
 #include <atomic>
 #include <chrono>
 #include <deque>
-#include <exception>
-#include <map>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -33,12 +34,10 @@
 #include "control/adaptation_controller.hpp"
 #include "core/pipeline_spec.hpp"
 #include "core/report.hpp"
+#include "core/stream_core.hpp"
 #include "obs/flight.hpp"
-#include "obs/metrics.hpp"
 #include "obs/sinks.hpp"
-#include "obs/trace.hpp"
 #include "sched/replica_router.hpp"
-#include "sim/metrics.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/sync.hpp"
@@ -136,17 +135,13 @@ class Executor : private control::AdaptationHost {
   /// are routed per the new mapping.
   void requeue_per_mapping(std::vector<RtTask> tasks);
   void route_onward(grid::NodeId from, RtTask task);
-  void complete_item(std::uint64_t item, std::any output);
-  void admit_locked(std::uint64_t index, std::any payload)
-      GRIDPIPE_REQUIRES(routing_mutex_);
+  /// Admits every queued push the credit window has room for, on the
+  /// calling (pushing or completing) thread, and routes it to stage 0.
+  void admit_ready();
   void controller_loop();
   /// Body of worker_loop; a stage exception escaping it is captured into
-  /// stream_error_ and ends the stream.
+  /// the stream core and ends the stream.
   void worker_loop_impl(grid::NodeId node);
-  bool stream_done_locked() const GRIDPIPE_REQUIRES(result_mutex_) {
-    return stream_error_ != nullptr ||
-           (closed_.load() && completed_count_.load() == pushed_.load());
-  }
   grid::NodeId pick_replica_locked(std::size_t stage)
       GRIDPIPE_REQUIRES(routing_mutex_);
   /// Stores done_ and wakes every worker out of its queue wait. The
@@ -161,28 +156,18 @@ class Executor : private control::AdaptationHost {
   PipelineSpec spec_;
   sched::PipelineProfile profile_;
   ExecutorConfig config_;
+  /// Stream lifecycle, admission, ordered output, errors, status. Its
+  /// flight recorder's lane 1 + n is worker thread n.
+  StreamCore<std::any> core_;
 
-  // Routing state (mapping, round-robin, admission) — one mutex.
+  // Routing state (mapping, round-robin) — one mutex.
   mutable util::Mutex routing_mutex_;
   sched::Mapping mapping_ GRIDPIPE_GUARDED_BY(routing_mutex_);
   sched::ReplicaRouter router_ GRIDPIPE_GUARDED_BY(routing_mutex_);
-  /// Pushed items waiting for in-flight credit, in input order.
-  std::deque<std::pair<std::uint64_t, std::any>> pending_
-      GRIDPIPE_GUARDED_BY(routing_mutex_);
-  /// Virtual admission time per in-flight item (for latency metrics).
-  std::map<std::uint64_t, double> admit_time_
-      GRIDPIPE_GUARDED_BY(routing_mutex_);
-  std::uint64_t admitted_ GRIDPIPE_GUARDED_BY(routing_mutex_) = 0;
-  /// Written under routing_mutex_; atomic so the controller's completion
-  /// predicate (held under result_mutex_) can read them.
-  std::atomic<std::uint64_t> pushed_{0};
-  std::atomic<bool> closed_{false};
 
   std::vector<std::unique_ptr<NodeWorker>> workers_;
   std::vector<std::thread> threads_;
   std::thread controller_thread_;
-  bool stream_active_ = false;
-  std::string initial_mapping_str_;
   std::atomic<bool> done_{false};
   std::atomic<Clock::rep> freeze_until_{0};
   /// Bumped twice per apply_remap (seqlock-style: before the queue drain
@@ -190,42 +175,11 @@ class Executor : private control::AdaptationHost {
   /// detect any concurrent or completed remap even after the freeze
   /// window has already expired.
   std::atomic<std::uint64_t> remap_gen_{0};
-  Clock::time_point start_{};
-
-  // Results: outputs buffered by input index until popped.
-  mutable util::Mutex result_mutex_;
-  util::CondVar result_cv_;
-  std::map<std::uint64_t, std::any> out_buffer_
-      GRIDPIPE_GUARDED_BY(result_mutex_);
-  /// Virtual completion time per buffered output; populated only when
-  /// tracing (feeds the ordered-buffer wait span on pop).
-  std::map<std::uint64_t, double> completed_at_
-      GRIDPIPE_GUARDED_BY(result_mutex_);
-  std::uint64_t next_out_ GRIDPIPE_GUARDED_BY(result_mutex_) = 0;
-  /// Written under result_mutex_; atomic so the admission path (under
-  /// routing_mutex_) can read the in-flight count without result_mutex_.
-  std::atomic<std::uint64_t> completed_count_{0};
-  /// First stage exception; ends the stream and is rethrown by
-  /// stream_finish().
-  std::exception_ptr stream_error_ GRIDPIPE_GUARDED_BY(result_mutex_);
 
   // Monitoring / adaptation: the shared controller owns the registry and
   // the decision loop; workers feed observations through it.
   std::unique_ptr<control::AdaptationController> controller_;
-  util::Mutex metrics_mutex_;
-  sim::SimMetrics metrics_ GRIDPIPE_GUARDED_BY(metrics_mutex_);
-  /// Pre-resolved obs handles (all null when config_.obs.metrics is).
-  obs::StandardMetrics obs_metrics_;
   util::Xoshiro256 rng_;
-
-  /// Always-on forensic flight recorder. Lane 0 is the control lane
-  /// (admissions, completions, credit, remaps, epochs) — its writers run
-  /// on pusher, worker and controller threads, so every lane-0 record
-  /// happens under routing_mutex_ to honor the single-writer ring
-  /// contract. Lane 1 + n is worker thread n (single writer by
-  /// construction).
-  obs::FlightRecorder flight_;
-  obs::FlightRing ctl_flight_ GRIDPIPE_GUARDED_BY(routing_mutex_);
 };
 
 }  // namespace gridpipe::core

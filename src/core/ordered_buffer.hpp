@@ -1,18 +1,21 @@
 #pragma once
-// core::OrderedDedupBuffer — the reorder buffer every streaming session
-// drains its outputs through, now with seq-keyed duplicate rejection.
+// core::BasicOrderedDedupBuffer — the reorder buffer every streaming
+// session drains its outputs through, with seq-keyed duplicate rejection.
 //
 // Results arrive keyed by the item's admission sequence number, in
 // whatever order the pipeline completes them, and leave in seq order
-// through try_pop. Under fault-tolerant replay the same seq can
-// legitimately complete twice (the replay raced the original past the
-// crash); insert() rejects anything at a seq that was already delivered
-// or is already buffered, so downstream consumers observe exactly-once,
+// through pop. Under fault-tolerant replay the same seq can legitimately
+// complete twice (the replay raced the original past the crash);
+// insert() rejects anything at a seq that was already delivered or is
+// already buffered, so downstream consumers observe exactly-once,
 // in-order delivery no matter how many times an item was executed.
 //
-// Not internally synchronized — callers hold their stream mutex, same
-// as the map it replaces.
+// Generic over the buffered value (core::StreamCore stores std::any or
+// Bytes outputs plus their completion time); OrderedDedupBuffer is the
+// Bytes instance. Not internally synchronized — callers hold their
+// stream mutex.
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <utility>
@@ -20,18 +23,16 @@
 
 namespace gridpipe::core {
 
-class OrderedDedupBuffer {
+template <class Item>
+class BasicOrderedDedupBuffer {
  public:
   using Bytes = std::vector<std::byte>;
 
   /// Buffers `payload` for seq. Returns false (and drops the payload)
   /// when seq was already delivered or is already buffered — i.e. this
   /// delivery is a duplicate.
-  bool insert(std::uint64_t seq, Bytes payload) {
-    if (seq < next_ || !buffered_.emplace(seq, std::move(payload)).second) {
-      return false;
-    }
-    return true;
+  bool insert(std::uint64_t seq, Item payload) {
+    return seq >= next_ && buffered_.emplace(seq, std::move(payload)).second;
   }
 
   /// True when the next in-order item is ready to pop.
@@ -41,9 +42,9 @@ class OrderedDedupBuffer {
   }
 
   /// Pops the next in-order payload; call only when ready().
-  Bytes pop() {
+  Item pop() {
     auto it = buffered_.begin();
-    Bytes out = std::move(it->second);
+    Item out = std::move(it->second);
     buffered_.erase(it);
     ++next_;
     return out;
@@ -60,8 +61,10 @@ class OrderedDedupBuffer {
   }
 
  private:
-  std::map<std::uint64_t, Bytes> buffered_;
+  std::map<std::uint64_t, Item> buffered_;
   std::uint64_t next_ = 0;
 };
+
+using OrderedDedupBuffer = BasicOrderedDedupBuffer<std::vector<std::byte>>;
 
 }  // namespace gridpipe::core

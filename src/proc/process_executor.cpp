@@ -59,7 +59,10 @@ ProcessExecutor::ProcessExecutor(const grid::Grid& grid,
     : grid_(grid),
       stages_(std::move(stages)),
       initial_mapping_(std::move(initial_mapping)),
-      config_(config) {
+      config_(config),
+      core_("ProcessExecutor", stages_.size(), config.window,
+            config.time_scale, config.obs, grid.num_nodes() + 1,
+            config.flight_events) {
   if (stages_.empty()) {
     throw std::invalid_argument("ProcessExecutor: no stages");
   }
@@ -67,30 +70,12 @@ ProcessExecutor::ProcessExecutor(const grid::Grid& grid,
   if (initial_mapping_.num_stages() != stages_.size()) {
     throw std::invalid_argument("ProcessExecutor: mapping mismatch");
   }
-  if (config_.time_scale <= 0.0) {
-    throw std::invalid_argument("ProcessExecutor: time_scale <= 0");
-  }
-  if (config_.window == 0) {
-    config_.window = std::max<std::size_t>(4, 2 * stages_.size());
-  }
-  start_ = std::chrono::steady_clock::now();
   profile_ = profile();
-  obs_metrics_.bind(config_.obs.metrics);
-  // The forensic rings must exist before any fork (stream_begin), so the
-  // children's lanes land in pages the parent keeps. mmap failure means
-  // running without a flight recorder, never failing the run.
-  try {
-    flight_ = obs::FlightRecorder(grid_.num_nodes() + 1,
-                                  config_.flight_events);
-  } catch (const std::runtime_error&) {
-    flight_ = obs::FlightRecorder{};
-  }
-  ctl_flight_ = flight_.ring(0);
   controller_ = make_controller();
 }
 
 ProcessExecutor::~ProcessExecutor() {
-  if (stream_active_) {
+  if (core_.active()) {
     try {
       stream_close();
       stream_finish();
@@ -114,12 +99,7 @@ sched::PipelineProfile ProcessExecutor::profile() const {
   return core::profile_from_stages(stages_);
 }
 
-double ProcessExecutor::virtual_now() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start_)
-             .count() /
-         config_.time_scale;
-}
+double ProcessExecutor::virtual_now() const { return core_.virtual_now(); }
 
 sched::Mapping ProcessExecutor::deployed_mapping() const {
   return controller_mapping_;
@@ -131,14 +111,7 @@ void ProcessExecutor::record_probes(double) {
 
 void ProcessExecutor::apply_remap(const sched::Mapping& to,
                                   double pause_virtual) {
-  const double vnow = virtual_now();
-  metrics_.on_remap(vnow, pause_virtual, controller_mapping_.to_string(),
-                    to.to_string());
-  ctl_flight_.record(obs::FlightKind::kRemap, vnow);
-  {
-    util::MutexLock lock(status_mutex_);
-    status_mapping_ = to.to_string();
-  }
+  core_.on_remap(pause_virtual, to.to_string());
   controller_mapping_ = to;
   controller_router_.reset(stages_.size());
   const Bytes wire = comm::wire::encode_mapping(controller_mapping_);
@@ -186,8 +159,8 @@ void ProcessExecutor::spawn_worker(std::size_t node,
     ctx.time_scale = config_.time_scale;
     ctx.emulate_compute = config_.emulate_compute;
     ctx.telemetry = config_.obs.any();
-    ctx.start = start_;
-    ctx.flight = flight_.ring(1 + node);
+    ctx.start = core_.start();
+    ctx.flight = core_.recorder().ring(1 + node);
     ctx.health_interval = config_.health_interval;
     if (config_.recovery.faults.any()) ctx.faults = &config_.recovery.faults;
     ctx.incarnation = incarnation;
@@ -270,48 +243,47 @@ void ProcessExecutor::spawn_fleet() {
   }
 }
 
-void ProcessExecutor::admit(grid::NodeId dst, std::uint64_t index,
-                            Bytes payload) {
-  const double vnow = virtual_now();
-  // Journal before the bytes can leave: if the first hop dies with the
-  // frame queued, the entry is what brings the item back.
-  if (recovery_on()) {
-    journal_.admit(index, payload, vnow);
-    journal_live_.store(journal_.live(), std::memory_order_relaxed);
+std::optional<grid::NodeId> ProcessExecutor::pick_stage0() {
+  // Retry the pick once per replica so one down replica (respawn
+  // pending) cannot stall a replicated stage 0.
+  for (std::size_t i = 0; i < controller_mapping_.replica_count(0); ++i) {
+    const grid::NodeId dst = controller_router_.pick(controller_mapping_, 0);
+    if (worker_up(dst)) return dst;
   }
+  return std::nullopt;
+}
+
+bool ProcessExecutor::send_task(grid::NodeId dst, std::uint64_t seq,
+                                core::ByteSpan payload) {
   // Compose [frame header][task header][payload] into one pooled buffer.
   Bytes wire = pool_.acquire();
   const std::size_t off = comm::wire::begin_frame(
       wire, FrameKind::kTask, static_cast<std::uint32_t>(dst));
-  comm::wire::encode_task_header_into(wire, index, 0);
-  const std::size_t at = wire.size();
-  wire.resize(at + payload.size());
-  if (!payload.empty()) {
-    std::memcpy(wire.data() + at, payload.data(), payload.size());
-  }
+  comm::wire::encode_task_header_into(wire, seq, 0);
+  wire.insert(wire.end(), payload.begin(), payload.end());
   comm::wire::end_frame(wire, off);
   workers_[dst].sock.queue_buffer(std::move(wire));
-  pool_.release(std::move(payload));
-  admit_time_[index] = vnow;
-  obs::record_span(config_.obs.tracer, obs::SpanKind::kAdmit, "admit", vnow,
-                   0.0, 0, index);
-  ++admitted_;
-  ctl_flight_.record(obs::FlightKind::kAdmit, vnow, 0, index);
-  const std::uint64_t in_flight = admitted_ - completed_;
-  if (in_flight >= config_.window) {
-    // The informative credit edge: the window just filled (back-pressure
-    // starts here), not every in-flight delta.
-    ctl_flight_.record(obs::FlightKind::kCredit, vnow, 0, in_flight,
-                       config_.window);
+  if (workers_[dst].sock.flush_some()) return true;
+  on_worker_lost(dst);
+  return false;
+}
+
+void ProcessExecutor::admit(grid::NodeId dst, std::uint64_t index,
+                            Bytes payload) {
+  // Journal before the bytes can leave: if the first hop dies with the
+  // frame queued, the entry is what brings the item back.
+  if (recovery_on()) {
+    journal_.admit(index, payload, virtual_now());
+    journal_live_.store(journal_.live(), std::memory_order_relaxed);
   }
-  if (!workers_[dst].sock.flush_some()) on_worker_lost(dst);
+  send_task(dst, index, payload);
+  pool_.release(std::move(payload));
 }
 
 void ProcessExecutor::handle_frame(std::size_t source,
                                    const FrameView& frame) {
-  ctl_flight_.record(obs::FlightKind::kFrameRecv, virtual_now(),
-                     static_cast<std::uint32_t>(frame.kind),
-                     frame.payload.size());
+  core_.flight(obs::FlightKind::kFrameRecv, virtual_now(),
+               static_cast<std::uint32_t>(frame.kind), frame.payload.size());
   {
     util::MutexLock lock(status_mutex_);
     health_.on_frame(source, virtual_now());
@@ -367,40 +339,18 @@ void ProcessExecutor::handle_frame(std::size_t source,
     case FrameKind::kResult: {
       const comm::wire::TaskView task = comm::wire::decode_task(frame.payload);
       const std::uint64_t item = task.item;
-      const double vnow = virtual_now();
       if (recovery_on()) {
         if (!journal_.retire(item)) {
           // Already delivered once: a replay raced the original past the
           // crash. Exactly-once delivery = drop the duplicate here.
-          ctl_flight_.record(obs::FlightKind::kDedup, vnow, 0, item);
-          dedups_.fetch_add(1, std::memory_order_relaxed);
-          if (obs_metrics_.items_deduped) obs_metrics_.items_deduped->add(1);
+          core_.note_duplicate(item);
           break;
         }
         journal_live_.store(journal_.live(), std::memory_order_relaxed);
-        note_retired(item, vnow);
+        note_retired(item, virtual_now());
       }
       // The output crosses the API boundary, so it owns its bytes.
-      Bytes payload(task.payload.begin(), task.payload.end());
-      double created_at = 0.0;
-      if (auto it = admit_time_.find(item); it != admit_time_.end()) {
-        created_at = it->second;
-        admit_time_.erase(it);
-      }
-      metrics_.on_item_completed(item, vnow, created_at);
-      ctl_flight_.record(obs::FlightKind::kComplete, vnow, 0, item);
-      obs::record_span(config_.obs.tracer, obs::SpanKind::kItem, "item",
-                       created_at, vnow - created_at, 0, item);
-      if (obs_metrics_.items_completed) {
-        obs_metrics_.items_completed->add(1);
-        obs_metrics_.item_latency->record(vnow - created_at);
-      }
-      ++completed_;
-      {
-        util::MutexLock lock(stream_mutex_);
-        out_.insert(item, std::move(payload));
-        if (config_.obs.tracer) completed_at_.emplace(item, vnow);
-      }
+      core_.complete(item, Bytes(task.payload.begin(), task.payload.end()));
       break;
     }
     case FrameKind::kSpeedObs:
@@ -416,7 +366,9 @@ void ProcessExecutor::handle_frame(std::size_t source,
       break;
     case FrameKind::kHealth: {
       const obs::HealthRecord record = obs::decode_health(frame.payload);
-      if (obs_metrics_.heartbeats) obs_metrics_.heartbeats->add(1);
+      if (core_.obs_metrics().heartbeats) {
+        core_.obs_metrics().heartbeats->add(1);
+      }
       util::MutexLock lock(status_mutex_);
       health_.on_health(record, virtual_now());
       break;
@@ -441,44 +393,20 @@ void ProcessExecutor::event_loop() {
       process_respawns();
       process_arrivals();
     }
-    // Take ownership of freshly pushed items, then admit under the
-    // credit window; check end-of-stream under the same lock.
-    bool done = false;
-    {
-      util::MutexLock lock(stream_mutex_);
-      while (!incoming_.empty()) {
-        pending_.push_back(std::move(incoming_.front()));
-        incoming_.pop_front();
-      }
-      done = closed_ && completed_ == pushed_;
-    }
-    while (!pending_.empty() && admitted_ - completed_ < config_.window) {
+    // Admit pushed items under the credit window, then check for the
+    // end of the stream.
+    while (core_.can_admit()) {
       // Pick the stage-0 destination before dequeueing: when recovery
-      // has the picked replica down (respawn pending), hold the item in
-      // pending_ instead of queueing bytes to a dead socket. Retry the
-      // pick once per live replica so one down replica cannot stall a
-      // replicated stage 0.
-      grid::NodeId dst = controller_router_.pick(controller_mapping_, 0);
-      if (!worker_up(dst)) {
-        bool found = false;
-        for (std::size_t i = 1; i < controller_mapping_.replica_count(0);
-             ++i) {
-          dst = controller_router_.pick(controller_mapping_, 0);
-          if (worker_up(dst)) {
-            found = true;
-            break;
-          }
-        }
-        if (!found) break;
-      }
-      auto entry = std::move(pending_.front());
-      pending_.pop_front();
-      admit(dst, entry.first, std::move(entry.second));
+      // has every replica down (respawn pending), leave the item queued
+      // instead of sending bytes to a dead socket.
+      const std::optional<grid::NodeId> dst = pick_stage0();
+      if (!dst) break;
+      // Only this thread admits or completes, so the credit checked
+      // above is still there.
+      auto admitted = core_.admit_next();
+      admit(*dst, admitted->seq, std::move(admitted->item));
     }
-    if (done) {
-      ctl_flight_.record(obs::FlightKind::kClose, virtual_now());
-      return;
-    }
+    if (core_.done()) return;
 
     // Wait at most until the next adaptation point, capped at 50 ms real
     // either way: nothing wakes poll() on a stream_push/stream_close, so
@@ -517,14 +445,7 @@ void ProcessExecutor::event_loop() {
         while (auto frame = workers_[i].sock.next_frame_view()) {
           handle_frame(i, *frame);
         }
-        if (!alive) {
-          bool still_running = false;
-          {
-            util::MutexLock lock(stream_mutex_);
-            still_running = !(closed_ && completed_ == pushed_);
-          }
-          if (still_running) on_worker_lost(i);
-        }
+        if (!alive && !core_.done()) on_worker_lost(i);
       }
     }
 
@@ -539,9 +460,11 @@ void ProcessExecutor::event_loop() {
       }
       for (const auto& edge : edges) {
         if (edge.stalled) {
-          ctl_flight_.record(obs::FlightKind::kStall, vnow, edge.node, 0,
-                             std::bit_cast<std::uint64_t>(edge.silent_for));
-          if (obs_metrics_.worker_stalls) obs_metrics_.worker_stalls->add(1);
+          core_.flight(obs::FlightKind::kStall, vnow, edge.node, 0,
+                       std::bit_cast<std::uint64_t>(edge.silent_for));
+          if (core_.obs_metrics().worker_stalls) {
+            core_.obs_metrics().worker_stalls->add(1);
+          }
           util::log_warn("gridpipe: worker ", edge.node,
                          edge.no_progress
                              ? " reports a backlog but no progress for "
@@ -558,7 +481,7 @@ void ProcessExecutor::event_loop() {
       std::uint32_t bits = 0;
       if (record.decided) bits |= 1u;
       if (record.remapped) bits |= 2u;
-      ctl_flight_.record(obs::FlightKind::kEpoch, virtual_now(), bits);
+      core_.flight(obs::FlightKind::kEpoch, virtual_now(), bits);
       next_epoch += epoch;
     }
   }
@@ -569,10 +492,7 @@ void ProcessExecutor::controller_main() {
     event_loop();
     shutdown_fleet();
   } catch (...) {
-    {
-      util::MutexLock lock(stream_mutex_);
-      stream_error_ = std::current_exception();
-    }
+    core_.fail(std::current_exception());
     kill_fleet();
   }
 }
@@ -652,7 +572,7 @@ void ProcessExecutor::fail_run(std::size_t node) {
   // The victim's flight-recorder lane lives in the parent's MAP_SHARED
   // mapping, so its last events survive the death: attach the decoded
   // tail so the crash explains what the worker was doing.
-  const std::string tail = flight_.format_tail(1 + node, 32);
+  const std::string tail = core_.recorder().format_tail(1 + node, 32);
   if (!tail.empty()) {
     message += "; last flight events:\n" + tail;
   }
@@ -664,7 +584,7 @@ void ProcessExecutor::fail_lost(std::size_t node, const std::string& why) {
   std::string message = "ProcessExecutor: worker for node " +
                         std::to_string(node) + " lost and not recoverable (" +
                         why + ")";
-  const std::string tail = flight_.format_tail(1 + node, 32);
+  const std::string tail = core_.recorder().format_tail(1 + node, 32);
   if (!tail.empty()) {
     message += "; last flight events:\n" + tail;
   }
@@ -697,15 +617,14 @@ void ProcessExecutor::mark_worker_dead(std::size_t node) {
   // set via fd() == -1. The rest of the fleet keeps streaming.
   w.sock.close();
   node_losses_.fetch_add(1, std::memory_order_relaxed);
-  if (obs_metrics_.node_losses) obs_metrics_.node_losses->add(1);
-  ctl_flight_.record(obs::FlightKind::kDeath, vnow,
-                     static_cast<std::uint32_t>(node));
+  if (core_.obs_metrics().node_losses) core_.obs_metrics().node_losses->add(1);
+  core_.flight(obs::FlightKind::kDeath, vnow, static_cast<std::uint32_t>(node));
   {
     util::MutexLock lock(status_mutex_);
     if (node < worker_pids_.size()) worker_pids_[node] = -1;
     health_.set_down(node, true);
   }
-  const std::string tail = flight_.format_tail(1 + node, 16);
+  const std::string tail = core_.recorder().format_tail(1 + node, 16);
   util::log_warn("gridpipe: worker ", node, " died mid-run (", how,
                  "); recovering",
                  tail.empty() ? "" : "; last flight events:\n" + tail);
@@ -761,7 +680,7 @@ void ProcessExecutor::process_respawns() {
 void ProcessExecutor::process_arrivals() {
   std::vector<std::size_t> requests;
   {
-    util::MutexLock lock(stream_mutex_);
+    util::MutexLock lock(status_mutex_);
     requests.swap(arrivals_);
   }
   for (const std::size_t node : requests) {
@@ -801,11 +720,11 @@ bool ProcessExecutor::respawn_worker(std::size_t node) {
   // incarnation is dead, the new one not yet forked, so this instant the
   // parent may stamp the lane — the respawn marker then sits between the
   // two lives in the forensic record.
-  flight_.ring(1 + node).record(obs::FlightKind::kRespawn, vnow,
-                                static_cast<std::uint32_t>(node),
-                                incarnation);
-  ctl_flight_.record(obs::FlightKind::kRespawn, vnow,
-                     static_cast<std::uint32_t>(node), incarnation);
+  core_.recorder().ring(1 + node).record(obs::FlightKind::kRespawn, vnow,
+                                         static_cast<std::uint32_t>(node),
+                                         incarnation);
+  core_.flight(obs::FlightKind::kRespawn, vnow,
+               static_cast<std::uint32_t>(node), incarnation);
   try {
     spawn_worker(node, incarnation);
   } catch (const std::runtime_error& error) {
@@ -815,7 +734,7 @@ bool ProcessExecutor::respawn_worker(std::size_t node) {
     return false;
   }
   respawns_.fetch_add(1, std::memory_order_relaxed);
-  if (obs_metrics_.respawns) obs_metrics_.respawns->add(1);
+  if (core_.obs_metrics().respawns) core_.obs_metrics().respawns->add(1);
   {
     util::MutexLock lock(status_mutex_);
     if (node < worker_pids_.size()) worker_pids_[node] = workers_[node].pid;
@@ -853,7 +772,7 @@ void ProcessExecutor::run_churn_remap(control::AdaptationTrigger why,
       controller_->run_churn_epoch(why, std::move(event));
   std::uint32_t bits = 1u;  // churn epochs always decide
   if (record.remapped) bits |= 2u;
-  ctl_flight_.record(obs::FlightKind::kEpoch, virtual_now(), bits);
+  core_.flight(obs::FlightKind::kEpoch, virtual_now(), bits);
   // Executor-side hard guard, independent of mapper behavior: if the
   // deployed mapping still touches a degraded node (a mapper is free to
   // ignore zeroed speeds), force a block layout over the survivors.
@@ -891,39 +810,17 @@ void ProcessExecutor::replay_recovering_items() {
   for (const std::uint64_t seq : seqs) {
     const recover::ReplayJournal::Entry* entry = journal_.find(seq);
     if (entry == nullptr) continue;  // delivered while we were deciding
-    grid::NodeId dst = controller_router_.pick(controller_mapping_, 0);
-    if (!worker_up(dst)) {
-      bool found = false;
-      for (std::size_t i = 1; i < controller_mapping_.replica_count(0);
-           ++i) {
-        dst = controller_router_.pick(controller_mapping_, 0);
-        if (worker_up(dst)) {
-          found = true;
-          break;
-        }
-      }
-      // Another node is down with its own recovery pending; that
-      // recovery ends in a replay too, so deferring is safe.
-      if (!found) return;
-    }
-    Bytes wire = pool_.acquire();
-    const std::size_t off = comm::wire::begin_frame(
-        wire, FrameKind::kTask, static_cast<std::uint32_t>(dst));
-    comm::wire::encode_task_header_into(wire, seq, 0);
-    const std::size_t at = wire.size();
-    wire.resize(at + entry->payload.size());
-    if (!entry->payload.empty()) {
-      std::memcpy(wire.data() + at, entry->payload.data(),
-                  entry->payload.size());
-    }
-    comm::wire::end_frame(wire, off);
+    const std::optional<grid::NodeId> dst = pick_stage0();
+    // Another node is down with its own recovery pending; that recovery
+    // ends in a replay too, so deferring is safe.
+    if (!dst) return;
     journal_.note_replay(seq);
     replays_.fetch_add(1, std::memory_order_relaxed);
-    if (obs_metrics_.items_replayed) obs_metrics_.items_replayed->add(1);
-    ctl_flight_.record(obs::FlightKind::kReplay, virtual_now(), 0, seq);
-    workers_[dst].sock.queue_buffer(std::move(wire));
-    if (!workers_[dst].sock.flush_some()) {
-      on_worker_lost(dst);
+    if (core_.obs_metrics().items_replayed) {
+      core_.obs_metrics().items_replayed->add(1);
+    }
+    core_.flight(obs::FlightKind::kReplay, virtual_now(), 0, seq);
+    if (!send_task(*dst, seq, entry->payload)) {
       return;  // the new death's recovery will finish the replay
     }
   }
@@ -935,7 +832,9 @@ void ProcessExecutor::note_retired(std::uint64_t item, double vnow) {
   if (!recovering_.empty()) return;
   const double took = vnow - recovery_started_v_;
   recovery_times_.push_back(took);
-  if (obs_metrics_.recovery_time) obs_metrics_.recovery_time->record(took);
+  if (core_.obs_metrics().recovery_time) {
+    core_.obs_metrics().recovery_time->record(took);
+  }
   util::log_info("gridpipe: recovery window closed after ", took,
                  " virtual s");
 }
@@ -948,42 +847,27 @@ void ProcessExecutor::request_arrival(std::size_t node) {
   if (node >= grid_.num_nodes()) {
     throw std::invalid_argument("ProcessExecutor: arrival for unknown node");
   }
-  util::MutexLock lock(stream_mutex_);
+  util::MutexLock lock(status_mutex_);
   arrivals_.push_back(node);
 }
 
 std::string ProcessExecutor::flight_tail(std::size_t lane,
                                          std::size_t max_events) const {
-  return flight_.format_tail(lane, max_events);
+  return core_.recorder().format_tail(lane, max_events);
 }
 
 void ProcessExecutor::stream_begin() {
-  if (stream_active_) {
-    throw std::logic_error("ProcessExecutor: a stream is already active");
-  }
-  if (!workers_.empty()) {
-    throw std::logic_error("ProcessExecutor: previous fleet still live");
-  }
+  // Throws while a stream is active — the only time a fleet is live.
+  core_.begin(initial_mapping_.to_string());
 
   // Fresh controller per stream: the virtual clock restarts at 0, so gate
   // snapshots, hysteresis streaks and registry timestamps from a
   // previous stream would all be stale.
   controller_ = make_controller();
-
   {
-    util::MutexLock lock(stream_mutex_);
-    incoming_.clear();
-    out_.reset();
-    completed_at_.clear();
-    pushed_ = 0;
-    closed_ = false;
-    stream_error_ = nullptr;
+    util::MutexLock lock(status_mutex_);
     arrivals_.clear();
   }
-  pending_.clear();
-  admit_time_.clear();
-  admitted_ = 0;
-  completed_ = 0;
   journal_.clear();
   supervisor_.reset(config_.recovery.respawn, grid_.num_nodes());
   dead_nodes_.clear();
@@ -996,18 +880,9 @@ void ProcessExecutor::stream_begin() {
   node_losses_ = 0;
   respawns_ = 0;
   replays_ = 0;
-  dedups_ = 0;
   journal_live_ = 0;
   controller_mapping_ = initial_mapping_;
   controller_router_.reset(stages_.size());
-  metrics_ = sim::SimMetrics{};  // time series restart with the clock
-  start_ = std::chrono::steady_clock::now();
-  initial_mapping_str_ = initial_mapping_.to_string();
-  {
-    util::MutexLock lock(status_mutex_);
-    status_mapping_ = initial_mapping_str_;
-  }
-  stream_active_ = true;
 
   // Fork the fleet first, start our own controller thread second: the
   // runtime never forks while one of its own threads is live.
@@ -1015,67 +890,21 @@ void ProcessExecutor::stream_begin() {
   controller_thread_ = std::thread([this] { controller_main(); });
 }
 
-void ProcessExecutor::stream_push(Bytes item) {
-  util::MutexLock lock(stream_mutex_);
-  if (!stream_active_ || closed_) {
-    throw std::logic_error("ProcessExecutor: push on a closed stream");
-  }
-  if (obs_metrics_.items_pushed) obs_metrics_.items_pushed->add(1);
-  incoming_.emplace_back(pushed_++, std::move(item));
-}
+void ProcessExecutor::stream_push(Bytes item) { core_.push(std::move(item)); }
 
 std::optional<Bytes> ProcessExecutor::stream_try_pop() {
-  util::MutexLock lock(stream_mutex_);
-  if (!out_.ready()) return std::nullopt;
-  const std::uint64_t seq = out_.next();
-  Bytes out = out_.pop();
-  if (config_.obs.tracer) {
-    if (auto done = completed_at_.find(seq); done != completed_at_.end()) {
-      const double vnow = virtual_now();
-      obs::record_span(config_.obs.tracer, obs::SpanKind::kWait, "wait",
-                       done->second, vnow - done->second, 0, seq);
-      completed_at_.erase(done);
-    }
-  }
-  return out;
+  return core_.try_pop();
 }
 
-void ProcessExecutor::stream_close() {
-  util::MutexLock lock(stream_mutex_);
-  closed_ = true;
-}
+void ProcessExecutor::stream_close() { core_.close(); }
 
 core::RunReport ProcessExecutor::stream_finish() {
-  if (!stream_active_) {
-    throw std::logic_error("ProcessExecutor: no active stream to finish");
-  }
-  {
-    util::MutexLock lock(stream_mutex_);
-    if (!closed_) {
-      throw std::logic_error(
-          "ProcessExecutor: stream_close() before stream_finish()");
-    }
-  }
+  core_.check_finishable();
   controller_thread_.join();
-  stream_active_ = false;
-  {
-    util::MutexLock lock(stream_mutex_);
-    if (stream_error_) std::rethrow_exception(stream_error_);
-  }
-
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-          .count();
-  core::RunReport report;
-  // The controller thread is joined; move the O(items) metric series.
-  core::finalize_stream_report(report, completed_, wall, config_.time_scale,
-                               std::move(metrics_), controller_->take_epochs(),
-                               std::move(initial_mapping_str_),
-                               controller_mapping_.to_string());
+  core::RunReport report = core_.finish(controller_->take_epochs());
   report.node_losses = node_losses_.load(std::memory_order_relaxed);
   report.respawns = respawns_.load(std::memory_order_relaxed);
   report.items_replayed = replays_.load(std::memory_order_relaxed);
-  report.items_deduped = dedups_.load(std::memory_order_relaxed);
   report.recovery_times = recovery_times_;
   return report;
 }
@@ -1085,36 +914,19 @@ core::RunReport ProcessExecutor::run(std::vector<Bytes> inputs) {
 }
 
 util::Json ProcessExecutor::status() const {
-  util::Json doc = util::Json::object();
-  doc["substrate"] = "process";
-  const double vnow = virtual_now();
-  doc["virtual_time"] = vnow;
-  doc["window"] = static_cast<std::uint64_t>(config_.window);
-  const std::uint64_t admitted = admitted_.load(std::memory_order_relaxed);
-  const std::uint64_t completed = completed_.load(std::memory_order_relaxed);
-  doc["admitted"] = admitted;
-  doc["completed"] = completed;
-  doc["in_flight"] = admitted - completed;
-  {
-    util::MutexLock lock(stream_mutex_);
-    doc["pushed"] = pushed_;
-    doc["popped"] = out_.next();
-    doc["closed"] = closed_;
-    doc["buffered_out"] = static_cast<std::uint64_t>(out_.buffered());
-  }
+  util::Json doc = core_.status("process");
   if (recovery_on()) {
     util::Json recovery = util::Json::object();
     recovery["node_losses"] = node_losses_.load(std::memory_order_relaxed);
     recovery["respawns"] = respawns_.load(std::memory_order_relaxed);
     recovery["items_replayed"] = replays_.load(std::memory_order_relaxed);
-    recovery["items_deduped"] = dedups_.load(std::memory_order_relaxed);
+    recovery["items_deduped"] = core_.deduped();
     recovery["journal_live"] = journal_live_.load(std::memory_order_relaxed);
     doc["recovery"] = std::move(recovery);
   }
   {
     util::MutexLock lock(status_mutex_);
-    doc["mapping"] = status_mapping_;
-    doc["workers"] = health_.to_json(vnow);
+    doc["workers"] = health_.to_json(core_.virtual_now());
     util::Json pids = util::Json::array();
     for (const int pid : worker_pids_) pids.push_back(pid);
     doc["worker_pids"] = std::move(pids);

@@ -28,7 +28,8 @@
 // Lifecycle: stream_begin() forks the fleet, then multiplexes it with
 // poll(2) on a dedicated controller thread; stream_push() enqueues items
 // the poll loop admits under the credit window, stream_try_pop() returns
-// outputs in input order, and stream_finish() reaps every child with
+// outputs in input order (the stream state lives in the shared
+// core::StreamCore), and stream_finish() reaps every child with
 // waitpid before returning — no SIGCHLD handler (a library must not own
 // process-wide signal dispositions; synchronous reaping needs none). A
 // worker that dies mid-stream surfaces as EOF on its socket; by default
@@ -46,9 +47,9 @@
 // shrinks onto the survivors). Either way every journaled item that was
 // in flight when the node died is re-admitted from stage 0
 // (at-least-once re-execution); the journal retire doubles as the dedup
-// filter, so a replay racing its original past the crash still delivers
-// exactly once and the ordered output matches a crash-free run byte for
-// byte. request_arrival() is the inverse event: a degraded (or fresh)
+// filter in front of the core's ordered buffer, so a replay racing its
+// original past the crash still delivers exactly once and the ordered
+// output matches a crash-free run byte for byte. request_arrival() is the inverse event: a degraded (or fresh)
 // node rejoins, the supervisor forks a worker for it and a node-arrival
 // churn epoch lets the mapping grow back — the elastic half of the
 // paper's adaptive grid story.
@@ -63,8 +64,6 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
-#include <exception>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -73,11 +72,10 @@
 
 #include "control/adaptation_controller.hpp"
 #include "core/dist_executor.hpp"  // core::DistStage, core::Bytes
-#include "core/ordered_buffer.hpp"
 #include "core/report.hpp"
+#include "core/stream_core.hpp"
 #include "obs/flight.hpp"
 #include "obs/health.hpp"
-#include "obs/metrics.hpp"
 #include "obs/sinks.hpp"
 #include "proc/shm_ring.hpp"
 #include "proc/transport.hpp"
@@ -195,10 +193,17 @@ class ProcessExecutor : private control::AdaptationHost {
   /// std::runtime_error if fork fails; the caller decides cleanup.
   void spawn_worker(std::size_t node, std::uint32_t incarnation);
   /// Controller-thread entry: event_loop + graceful shutdown, with any
-  /// failure captured into stream_error_.
+  /// failure captured into the stream core.
   void controller_main();
   void event_loop();
   void handle_frame(std::size_t source, const comm::wire::FrameView& frame);
+  /// A live stage-0 replica (each replica tried once in router order),
+  /// or nullopt while every one is down.
+  std::optional<grid::NodeId> pick_stage0();
+  /// Queues a stage-0 task frame to `dst` and flushes; false when the
+  /// write found `dst` dead (already handed to on_worker_lost).
+  bool send_task(grid::NodeId dst, std::uint64_t seq, core::ByteSpan payload);
+  /// Journals (recovery on) and sends one admitted item to `dst`.
   void admit(grid::NodeId dst, std::uint64_t index, Bytes payload);
   /// Graceful: broadcast kShutdown, drain to EOF, close, reap.
   void shutdown_fleet();
@@ -254,8 +259,12 @@ class ProcessExecutor : private control::AdaptationHost {
   std::vector<core::DistStage> stages_;
   sched::Mapping initial_mapping_;
   ProcExecutorConfig config_;
+  /// Stream lifecycle, admission, ordered output, errors, status. Its
+  /// flight recorder (lane 0 = this controller, lane 1 + n = worker n)
+  /// is mmap'd MAP_SHARED at construction, before any fork, so the
+  /// parent can read a dead child's lane post-mortem.
+  core::StreamCore<Bytes> core_;
 
-  std::chrono::steady_clock::time_point start_{};
   /// Parent-side free-list for admission/relay frame buffers.
   /// (Internally synchronized; no GUARDED_BY needed.)
   comm::wire::BufferPool pool_;
@@ -267,50 +276,15 @@ class ProcessExecutor : private control::AdaptationHost {
   sched::Mapping controller_mapping_;
   sched::ReplicaRouter controller_router_;
   std::vector<Worker> workers_;
-  sim::SimMetrics metrics_;
-
-  // Controller-thread-only admission state. The counters are atomic only
-  // so status() can read them from another thread; the controller thread
-  // is the sole writer.
-  std::deque<std::pair<std::uint64_t, Bytes>> pending_;
-  /// Virtual admission time per in-flight item (for latency metrics).
-  std::map<std::uint64_t, double> admit_time_;
-  std::atomic<std::uint64_t> admitted_{0};
-  std::atomic<std::uint64_t> completed_{0};
-
-  /// Always-on forensic ring per lane (lane 0 = this controller, lane
-  /// 1+n = worker n), mmap'd MAP_SHARED before the fleet forks so the
-  /// parent can read a dead child's lane post-mortem. ctl_flight_ is the
-  /// cached lane-0 handle (controller thread is its single writer).
-  obs::FlightRecorder flight_;
-  obs::FlightRing ctl_flight_;
 
   // Health / live-status state, shared between the controller thread
   // (writer) and status() callers (readers). Uncontended in steady
   // state: the controller takes the lock a few times per poll tick.
   mutable util::Mutex status_mutex_;
   obs::HealthTracker health_ GRIDPIPE_GUARDED_BY(status_mutex_);
-  std::string status_mapping_ GRIDPIPE_GUARDED_BY(status_mutex_);
   std::vector<int> worker_pids_ GRIDPIPE_GUARDED_BY(status_mutex_);
-
-  // Stream state shared between the pushing/popping caller and the
-  // controller thread (mutable: status() reads it const).
-  mutable util::Mutex stream_mutex_;
-  std::deque<std::pair<std::uint64_t, Bytes>> incoming_
-      GRIDPIPE_GUARDED_BY(stream_mutex_);
-  /// Ordered, seq-keyed output reorder buffer. Its dedup (reject seqs
-  /// already delivered) is the exactly-once backstop behind the
-  /// journal's retire-as-dedup in the controller thread.
-  core::OrderedDedupBuffer out_ GRIDPIPE_GUARDED_BY(stream_mutex_);
-  /// Virtual completion time per buffered output; populated only when
-  /// tracing (feeds the ordered-buffer wait span on pop).
-  std::map<std::uint64_t, double> completed_at_
-      GRIDPIPE_GUARDED_BY(stream_mutex_);
-  std::uint64_t pushed_ GRIDPIPE_GUARDED_BY(stream_mutex_) = 0;
-  bool closed_ GRIDPIPE_GUARDED_BY(stream_mutex_) = false;
-  std::exception_ptr stream_error_ GRIDPIPE_GUARDED_BY(stream_mutex_);
   /// Nodes request_arrival() asked the controller thread to bring up.
-  std::vector<std::size_t> arrivals_ GRIDPIPE_GUARDED_BY(stream_mutex_);
+  std::vector<std::size_t> arrivals_ GRIDPIPE_GUARDED_BY(status_mutex_);
 
   // ---- recovery state (controller thread only; the atomics mirror the
   // counters for status()/stream_finish() readers) ----
@@ -338,14 +312,9 @@ class ProcessExecutor : private control::AdaptationHost {
   std::atomic<std::uint64_t> node_losses_{0};
   std::atomic<std::uint64_t> respawns_{0};
   std::atomic<std::uint64_t> replays_{0};
-  std::atomic<std::uint64_t> dedups_{0};
   std::atomic<std::uint64_t> journal_live_{0};
 
   std::thread controller_thread_;
-  bool stream_active_ = false;
-  std::string initial_mapping_str_;
-  /// Pre-resolved obs handles (all null when config_.obs.metrics is).
-  obs::StandardMetrics obs_metrics_;
 };
 
 }  // namespace gridpipe::proc

@@ -7,7 +7,6 @@
 #include <chrono>
 #include <future>
 
-#include "core/adaptive_pipeline.hpp"
 #include "core/executor.hpp"
 #include "grid/builders.hpp"
 
@@ -263,39 +262,6 @@ TEST(Executor, RejectsBadConfig) {
                         sched::Mapping(std::vector<NodeId>{0, 1}),
                         fast_config()),
                std::invalid_argument);
-}
-
-// ---------------------------------------------------- adaptive facade
-
-TEST(AdaptivePipeline, PlanPicksFastNode) {
-  const auto g = grid::heterogeneous_cluster({1.0, 8.0, 1.0}, 1e-4, 1e9);
-  AdaptivePipeline pipeline(g, arithmetic_spec(), {});
-  const auto plan = pipeline.plan();
-  // All three cheap stages fit on the 8x node.
-  EXPECT_EQ(plan.mapping.to_string(), "(2,2,2)");
-}
-
-TEST(AdaptivePipeline, RunProducesOrderedResults) {
-  const auto g = grid::uniform_cluster(2, 1.0, 1e-3, 1e8);
-  AdaptivePipelineOptions options;
-  options.runtime.time_scale = 0.002;
-  AdaptivePipeline pipeline(g, arithmetic_spec(), options);
-  const auto report = pipeline.run(int_items(30));
-  ASSERT_EQ(report.items, 30u);
-  EXPECT_EQ(std::any_cast<int>(report.outputs[5]), (5 * 2 + 3) * (5 * 2 + 3));
-}
-
-TEST(AdaptivePipeline, SimulateDelegatesToDes) {
-  const auto g = grid::uniform_cluster(3, 1.0, 1e-3, 1e8);
-  AdaptivePipeline pipeline(g, arithmetic_spec(), {});
-  sim::SimConfig sim_config;
-  sim_config.num_items = 500;
-  sim_config.probe_interval = 0.0;
-  sim::DriverOptions driver_options;
-  driver_options.driver = sim::DriverKind::kStaticOptimal;
-  const auto result = pipeline.simulate(sim_config, driver_options);
-  EXPECT_EQ(result.metrics.items_completed(), 500u);
-  EXPECT_GT(result.mean_throughput, 0.0);
 }
 
 // Regression: stream_finish used to store done_ and notify each worker's

@@ -50,36 +50,6 @@ std::vector<DistStage> arithmetic_stages() {
   return stages;
 }
 
-// ------------------------------------------------------------ encoding
-
-TEST(DistWire, TaskRoundTrip) {
-  const Bytes payload = bytes_of_int(1234);
-  const Bytes wire = DistributedExecutor::encode_task(77, 2, payload);
-  std::uint64_t item;
-  std::uint32_t stage;
-  Bytes out;
-  DistributedExecutor::decode_task(wire, item, stage, out);
-  EXPECT_EQ(item, 77u);
-  EXPECT_EQ(stage, 2u);
-  EXPECT_EQ(out, payload);
-}
-
-TEST(DistWire, ShortTaskThrows) {
-  std::uint64_t item;
-  std::uint32_t stage;
-  Bytes out;
-  EXPECT_THROW(
-      DistributedExecutor::decode_task(Bytes(4), item, stage, out),
-      std::invalid_argument);
-}
-
-TEST(DistWire, MappingRoundTrip) {
-  sched::Mapping mapping(std::vector<NodeId>{2, 0, 1});
-  mapping.add_replica(1, 2);
-  const Bytes wire = DistributedExecutor::encode_mapping(mapping);
-  EXPECT_EQ(DistributedExecutor::decode_mapping(wire), mapping);
-}
-
 // ---------------------------------------------------------- end to end
 
 DistExecutorConfig fast_dist_config() {

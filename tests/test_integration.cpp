@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/adaptive_pipeline.hpp"
 #include "core/executor.hpp"
 #include "grid/builders.hpp"
 #include "sched/local_search.hpp"

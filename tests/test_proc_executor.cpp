@@ -168,21 +168,6 @@ TEST(ProcWire, MappingWithAbsurdCountsRejected) {
   EXPECT_THROW(wire::decode_mapping(lie), std::invalid_argument);
 }
 
-TEST(ProcWire, DistExecutorSpeaksTheSharedCodec) {
-  // The DistributedExecutor helpers are delegates of comm::wire — the
-  // bytes must be identical in both directions.
-  const Bytes payload = bytes_of_int(1234);
-  EXPECT_EQ(core::DistributedExecutor::encode_task(77, 2, payload),
-            wire::encode_task(77, 2, payload));
-  sched::Mapping mapping(std::vector<NodeId>{2, 0, 1});
-  mapping.add_replica(0, 1);
-  EXPECT_EQ(core::DistributedExecutor::encode_mapping(mapping),
-            wire::encode_mapping(mapping));
-  EXPECT_EQ(core::DistributedExecutor::decode_mapping(
-                wire::encode_mapping(mapping)),
-            mapping);
-}
-
 // ---------------------------------------------------------- end to end
 
 ProcExecutorConfig fast_proc_config() {

@@ -5,9 +5,9 @@
 
 #include <algorithm>
 
+#include "comm/wire.hpp"
 #include "grid/builders.hpp"
 #include "sched/latency_mapper.hpp"
-#include "core/dist_executor.hpp"
 #include "sim/pipeline_sim.hpp"
 #include "workload/scenarios.hpp"
 
@@ -132,7 +132,7 @@ TEST_P(PropertySeed, SimThroughputScalesWithSpeed) {
   EXPECT_NEAR(run_at(2.0), 2.0 * run_at(1.0), 0.05 * run_at(2.0));
 }
 
-// --- Wire-format round trip on random mappings (distributed executor).
+// --- Wire-format round trip on random mappings (shared comm::wire codec).
 TEST_P(PropertySeed, MappingWireRoundTrip) {
   util::Xoshiro256 rng(GetParam() ^ 0xABBA);
   const std::size_t ns = 1 + GetParam() % 6;
@@ -147,8 +147,7 @@ TEST_P(PropertySeed, MappingWireRoundTrip) {
     }
   }
   const Mapping mapping(assignment);
-  EXPECT_EQ(core::DistributedExecutor::decode_mapping(
-                core::DistributedExecutor::encode_mapping(mapping)),
+  EXPECT_EQ(comm::wire::decode_mapping(comm::wire::encode_mapping(mapping)),
             mapping);
 }
 

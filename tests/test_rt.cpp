@@ -42,6 +42,16 @@ std::vector<std::any> int64_items(std::int64_t n) {
   return items;
 }
 
+// Unsigned value of a top-level key in a compact status dump (the repo
+// emits JSON but has no parser; top-level counters are unique keys).
+std::uint64_t status_u64(const std::string& compact, const std::string& key) {
+  const std::string tag = "\"" + key + "\":";
+  const auto at = compact.find(tag);
+  EXPECT_NE(at, std::string::npos) << key << " missing: " << compact;
+  return at == std::string::npos ? 0
+                                 : std::stoull(compact.substr(at + tag.size()));
+}
+
 std::vector<std::string> expected_outputs(std::int64_t n) {
   const core::PipelineSpec spec = typed_spec();
   std::vector<std::string> expected;
@@ -438,6 +448,23 @@ TEST(RtObservability, StatusSnapshotsMidStreamOnEverySubstrate) {
     const std::string text = session->status().dump(2);
     EXPECT_TRUE(test_support::JsonChecker(text).valid())
         << to_string(kind) << ": " << text;
+    if (kind != RuntimeKind::kSim) {
+      // The live substrates share one stream core, so they report the
+      // same common keys, read as one consistent snapshot.
+      const std::string compact = session->status().dump();
+      for (const char* key :
+           {"virtual_time", "window", "mapping", "pushed", "admitted",
+            "completed", "in_flight", "pending", "buffered_out", "next_out",
+            "closed"}) {
+        EXPECT_NE(compact.find(std::string("\"") + key + "\":"),
+                  std::string::npos)
+            << to_string(kind) << " lacks " << key << ": " << compact;
+      }
+      EXPECT_EQ(status_u64(compact, "pushed"), 12u) << compact;
+      EXPECT_LE(status_u64(compact, "in_flight"),
+                status_u64(compact, "admitted"))
+          << to_string(kind) << ": " << compact;
+    }
     const std::string tag =
         std::string("\"substrate\": \"") + to_string(kind) + "\"";
     EXPECT_NE(text.find(tag), std::string::npos)
@@ -458,6 +485,24 @@ TEST(RtObservability, StatusSnapshotsMidStreamOnEverySubstrate) {
         << to_string(kind) << ": provider leaked past the session";
   }
   EXPECT_EQ(obs::StatusHub::global().size(), 0u);
+}
+
+TEST(RtPlan, PlannedMappingPicksFastNodeOnEverySubstrate) {
+  // The deployment-time plan every session starts from: all three cheap
+  // stages fit on the 8x node (mapping strings are 1-based).
+  const auto g = grid::heterogeneous_cluster({1.0, 8.0, 1.0}, 1e-4, 1e9);
+  for (RuntimeKind kind : kAllRuntimeKinds) {
+    EXPECT_EQ(make_runtime(kind, g, typed_spec())->planned_mapping().to_string(),
+              "(2,2,2)")
+        << to_string(kind);
+  }
+  // An explicit override replaces the planner's pick.
+  RuntimeOptions options;
+  options.initial_mapping = sched::Mapping(std::vector<grid::NodeId>{0, 2, 0});
+  EXPECT_EQ(make_runtime(RuntimeKind::kThreads, g, typed_spec(), options)
+                ->planned_mapping()
+                .to_string(),
+            "(1,3,1)");
 }
 
 TEST(Session, DefaultStatusReportsUnknownSubstrate) {

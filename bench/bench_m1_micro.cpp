@@ -2,7 +2,7 @@
 //
 // Costs of the primitives the adaptation loop leans on: event-queue ops,
 // analytic model evaluation, the mapping searches, ensemble updates, and
-// message-queue round-trips. These bound how fast an epoch can run —
+// mailbox post/take trains. These bound how fast an epoch can run —
 // the "must decide faster than it saves" constraint.
 
 #include <benchmark/benchmark.h>
@@ -12,7 +12,7 @@
 
 #include <unistd.h>
 
-#include "comm/channel.hpp"
+#include "comm/mailbox.hpp"
 #include "grid/builders.hpp"
 #include "monitor/ensemble.hpp"
 #include "obs/flight.hpp"
@@ -105,81 +105,22 @@ void BM_EnsembleObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_EnsembleObserve);
 
-void BM_MessageQueueRoundTrip(benchmark::State& state) {
-  comm::MessageQueue q(4096);
+// One dist rank's mailbox: post a 32-message train, then take it back
+// in one lock acquisition — the pattern the ranks use to drain their
+// inbox.
+void BM_MailboxTake(benchmark::State& state) {
+  constexpr std::size_t kTrain = 32;
+  comm::Mailbox inbox;
   for (auto _ : state) {
-    comm::Message m;
-    m.source = 0;
-    m.tag = 1;
-    q.push(std::move(m));
-    benchmark::DoNotOptimize(q.try_pop(0, 1));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MessageQueueRoundTrip);
-
-// Pop throughput as a function of queue depth. The queue holds range(0)-1
-// messages of an un-popped (source, tag) pair; each iteration pushes and
-// pops a message of a different pair. The old single-deque implementation
-// scanned past the whole backlog on every pop (O(depth)); the bucketed
-// queue goes straight to the matching pair's head regardless of depth.
-void BM_MessageQueuePopAtDepth(benchmark::State& state) {
-  const auto depth = static_cast<std::size_t>(state.range(0));
-  comm::MessageQueue q(depth + 16);
-  for (std::size_t i = 0; i + 1 < depth; ++i) {
-    comm::Message backlog;
-    backlog.source = 0;
-    backlog.tag = 0;
-    q.push(std::move(backlog));
-  }
-  for (auto _ : state) {
-    comm::Message m;
-    m.source = 1;
-    m.tag = 1;
-    q.push(std::move(m));
-    benchmark::DoNotOptimize(q.try_pop(1, 1));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MessageQueuePopAtDepth)->Arg(1)->Arg(64)->Arg(256)->Arg(1024);
-
-// Batched drain: one lock acquisition per 64-message train in and out,
-// the pattern the executors use to empty a worker queue.
-void BM_MessageQueueBatchDrain(benchmark::State& state) {
-  constexpr std::size_t kTrain = 64;
-  comm::MessageQueue q(4 * kTrain);
-  for (auto _ : state) {
-    std::vector<comm::Message> batch(kTrain);
-    for (auto& m : batch) {
-      m.source = 0;
-      m.tag = 1;
+    const auto now = comm::Clock::now();
+    for (std::size_t i = 0; i < kTrain; ++i) {
+      inbox.post({0, comm::wire::FrameKind::kTask, {}, now});
     }
-    q.push_n(std::move(batch));
-    benchmark::DoNotOptimize(q.try_pop_n(kTrain, 0, 1));
+    benchmark::DoNotOptimize(inbox.take(kTrain, now));
   }
   state.SetItemsProcessed(state.iterations() * kTrain);
 }
-BENCHMARK(BM_MessageQueueBatchDrain);
-
-// Wildcard batch drain across many (source, tag) pairs — the executors'
-// recv_n path. Exercises the k-way merge over bucket heads rather than
-// the exact-pair fast path measured above.
-void BM_MessageQueueBatchDrainWildcard(benchmark::State& state) {
-  constexpr std::size_t kTrain = 64;
-  const int sources = static_cast<int>(state.range(0));
-  comm::MessageQueue q(4 * kTrain);
-  for (auto _ : state) {
-    std::vector<comm::Message> batch(kTrain);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      batch[i].source = static_cast<int>(i) % sources;
-      batch[i].tag = 1;
-    }
-    q.push_n(std::move(batch));
-    benchmark::DoNotOptimize(q.try_pop_n(kTrain));
-  }
-  state.SetItemsProcessed(state.iterations() * kTrain);
-}
-BENCHMARK(BM_MessageQueueBatchDrainWildcard)->Arg(1)->Arg(8)->Arg(32);
+BENCHMARK(BM_MailboxTake);
 
 // ------------------------------------------------ observability hot path
 // The obs layer rides inside every per-item code path, so its disabled

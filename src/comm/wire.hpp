@@ -9,8 +9,8 @@
 //    captured from one substrate decodes on the other.
 //  * Stream framing: a length-prefixed Frame envelope for byte-stream
 //    transports (Unix-domain sockets, shared-memory rings). The
-//    in-process communicator does not need it (its queues preserve
-//    message boundaries); the byte-stream transports do.
+//    in-process mailboxes do not need it (they hold whole messages);
+//    the byte-stream transports do.
 //
 // Hot-path composition: every payload codec has an `encode_*_into`
 // variant that appends to a caller-supplied buffer, and begin_frame /
@@ -125,8 +125,8 @@ double decode_f64(ByteSpan wire);
 
 // ------------------------------------------------------------ framing
 
-/// Frame kinds mirror the DistributedExecutor message tags 1:1 (same
-/// values), so the two substrates stay one vocabulary.
+/// Frame kinds are also the kinds of the DistributedExecutor's mailbox
+/// messages, so the two substrates share one vocabulary.
 enum class FrameKind : std::uint32_t {
   kTask = 1,       ///< task payload; `node` = destination worker on relays
   kResult = 2,     ///< finished item (task payload with stage = num_stages)

@@ -12,14 +12,10 @@ namespace gridpipe::core {
 
 namespace {
 
-std::vector<grid::NodeId> rank_map(const grid::Grid& grid) {
-  // Worker rank n lives on node n; the controller (last rank) sits on
-  // node 0, standing in for the submission host.
-  std::vector<grid::NodeId> map;
-  for (grid::NodeId n = 0; n < grid.num_nodes(); ++n) map.push_back(n);
-  map.push_back(0);
-  return map;
-}
+using comm::wire::FrameKind;
+
+/// Messages a rank takes per mailbox-lock acquisition.
+constexpr std::size_t kDrainBatch = 16;
 
 }  // namespace
 
@@ -34,9 +30,7 @@ DistributedExecutor::DistributedExecutor(const grid::Grid& grid,
       core_("DistributedExecutor", stages_.size(), config.window,
             config.time_scale, config.obs, grid.num_nodes() + 1,
             config.flight_events),
-      delays_(grid, rank_map(grid), config.time_scale),
-      comm_(static_cast<int>(grid.num_nodes()) + 1, &delays_,
-            [this] { return virtual_now(); }) {
+      mailboxes_(grid.num_nodes() + 1) {
   if (stages_.empty()) {
     throw std::invalid_argument("DistributedExecutor: no stages");
   }
@@ -44,7 +38,6 @@ DistributedExecutor::DistributedExecutor(const grid::Grid& grid,
   if (initial_mapping_.num_stages() != stages_.size()) {
     throw std::invalid_argument("DistributedExecutor: mapping mismatch");
   }
-  if (config_.drain_batch == 0) config_.drain_batch = 1;
   profile_ = profile();
   controller_ = make_controller();
 }
@@ -88,6 +81,24 @@ double DistributedExecutor::virtual_now() const {
   return core_.virtual_now();
 }
 
+void DistributedExecutor::send(int from, int to, FrameKind kind,
+                               Bytes payload) {
+  // Worker rank n lives on node n; the controller sits on node 0,
+  // standing in for the submission host.
+  const auto node_of = [this](int rank) {
+    return rank == controller_rank() ? grid::NodeId{0}
+                                     : static_cast<grid::NodeId>(rank);
+  };
+  const double delay =
+      grid_.transfer_time(node_of(from), node_of(to),
+                          static_cast<double>(payload.size()), virtual_now()) *
+      config_.time_scale;
+  mailboxes_[static_cast<std::size_t>(to)].post(
+      {from, kind, std::move(payload),
+       comm::Clock::now() + std::chrono::duration_cast<comm::Clock::duration>(
+                                std::chrono::duration<double>(delay))});
+}
+
 void DistributedExecutor::worker_loop(int rank) {
   try {
     worker_loop_impl(rank);
@@ -120,19 +131,17 @@ void DistributedExecutor::worker_loop_impl(int rank) {
     if (executed) spans.counters.push_back({"stage_executions", executed});
     executed = 0;
     if (spans.empty()) return;
-    comm_.send(rank, controller_rank(), kTelemetry,
-               obs::encode_telemetry(spans));
+    send(rank, controller_rank(), FrameKind::kTelemetry,
+         obs::encode_telemetry(spans));
     spans = obs::TelemetryBatch{};
   };
 
+  comm::Mailbox& inbox = mailboxes_[static_cast<std::size_t>(rank)];
   for (;;) {
-    // Drain the rank's queue in batches: one lock acquisition per train of
-    // delivered messages instead of one per message.
-    auto batch = comm_.recv_n(rank, config_.drain_batch);
-    if (batch.empty()) {
-      flush_telemetry();
-      return;  // queue closed and drained
-    }
+    // Drain the rank's mailbox in batches: one lock acquisition per train
+    // of delivered messages instead of one per message. The loop ends on
+    // kShutdown.
+    auto batch = inbox.take(kDrainBatch, comm::Clock::time_point::max());
 
     // Control messages jump the task queue: apply the newest kRemap in
     // the batch before executing anything (routing is eventually
@@ -142,8 +151,8 @@ void DistributedExecutor::worker_loop_impl(int rank) {
     const comm::Message* last_remap = nullptr;
     bool shutdown = false;
     for (const comm::Message& message : batch) {
-      if (message.tag == kShutdown) shutdown = true;
-      if (message.tag == kRemap) last_remap = &message;
+      if (message.kind == FrameKind::kShutdown) shutdown = true;
+      if (message.kind == FrameKind::kRemap) last_remap = &message;
     }
     if (shutdown) {
       flush_telemetry();
@@ -157,7 +166,7 @@ void DistributedExecutor::worker_loop_impl(int rank) {
     }
 
     for (comm::Message& message : batch) {
-      if (message.tag != kTask) continue;  // handled or unknown above
+      if (message.kind != FrameKind::kTask) continue;  // handled above
 
       const comm::wire::TaskView task =
           comm::wire::decode_task(comm::wire::ByteSpan(message.payload));
@@ -192,7 +201,7 @@ void DistributedExecutor::worker_loop_impl(int rank) {
       if (duration > 0.0) {
         Bytes obs = pool_.acquire();
         comm::wire::encode_f64_into(obs, stages_[stage].work / duration);
-        comm_.send(rank, controller_rank(), kSpeedObs, std::move(obs));
+        send(rank, controller_rank(), FrameKind::kSpeedObs, std::move(obs));
       }
 
       if (telemetry) {
@@ -209,7 +218,7 @@ void DistributedExecutor::worker_loop_impl(int rank) {
       }
 
       if (stage + 1 == stages_.size()) {
-        comm_.send(rank, controller_rank(), kResult, std::move(out));
+        send(rank, controller_rank(), FrameKind::kResult, std::move(out));
       } else {
         const grid::NodeId dst = routing.pick(stage + 1);
         if (telemetry) {
@@ -225,7 +234,7 @@ void DistributedExecutor::worker_loop_impl(int rank) {
           hop.stage = stage + 1;
           spans.events.push_back(std::move(hop));
         }
-        comm_.send(rank, static_cast<int>(dst), kTask, std::move(out));
+        send(rank, static_cast<int>(dst), FrameKind::kTask, std::move(out));
       }
       // The input payload is fully consumed (the view died with the fn
       // call); recycle its buffer.
@@ -250,17 +259,18 @@ void DistributedExecutor::apply_remap(const sched::Mapping& to,
   controller_router_.reset(stages_.size());
   const Bytes wire = comm::wire::encode_mapping(controller_mapping_);
   for (int rank = 0; rank < controller_rank(); ++rank) {
-    comm_.send(controller_rank(), rank, kRemap, wire);
+    send(controller_rank(), rank, FrameKind::kRemap, wire);
   }
 }
 
 void DistributedExecutor::controller_loop() {
   const int me = controller_rank();
+  comm::Mailbox& inbox = mailboxes_[static_cast<std::size_t>(me)];
   const double epoch = config_.adapt.epoch;
   double next_epoch = epoch;
 
   auto handle = [&](comm::Message& message) {
-    if (message.tag == kResult) {
+    if (message.kind == FrameKind::kResult) {
       const comm::wire::TaskView task =
           comm::wire::decode_task(comm::wire::ByteSpan(message.payload));
       // The output crosses the API boundary, so it must own its bytes:
@@ -268,13 +278,13 @@ void DistributedExecutor::controller_loop() {
       core_.complete(task.item,
                      Bytes(task.payload.begin(), task.payload.end()));
       pool_.release(std::move(message.payload));
-    } else if (message.tag == kSpeedObs) {
+    } else if (message.kind == FrameKind::kSpeedObs) {
       controller_->record_observation(
           {monitor::SensorKind::kNodeSpeed,
            static_cast<std::uint32_t>(message.source), 0},
           comm::wire::decode_f64(comm::wire::ByteSpan(message.payload)));
       pool_.release(std::move(message.payload));
-    } else if (message.tag == kTelemetry) {
+    } else if (message.kind == FrameKind::kTelemetry) {
       obs::apply_telemetry(obs::decode_telemetry(message.payload),
                            config_.obs);
       pool_.release(std::move(message.payload));
@@ -288,29 +298,25 @@ void DistributedExecutor::controller_loop() {
       const grid::NodeId dst = controller_router_.pick(controller_mapping_, 0);
       Bytes wire = pool_.acquire();
       comm::wire::encode_task_into(wire, admitted->seq, 0, admitted->item);
-      comm_.send(me, static_cast<int>(dst), kTask, std::move(wire));
+      send(me, static_cast<int>(dst), FrameKind::kTask, std::move(wire));
       pool_.release(std::move(admitted->item));
     }
     if (core_.done()) break;
 
     // Wait at most until the next adaptation point, capped at 50 ms real
-    // either way: nothing wakes recv_for on a stream_push/stream_close,
-    // so the cap is what bounds the latency of noticing one.
+    // either way: nothing posts to the controller's mailbox on a
+    // stream_push/stream_close, so the cap is what bounds the latency of
+    // noticing one. Results tend to arrive in bursts; one take drains a
+    // whole train of them.
     double wait_real = 0.05;
     if (epoch > 0.0) {
       wait_real = std::clamp((next_epoch - virtual_now()) * config_.time_scale,
                              1e-3, 0.05);
     }
-    auto message =
-        comm_.recv_for(me, std::chrono::duration<double>(wait_real));
-    if (message) {
-      handle(*message);
-      // Results tend to arrive in bursts; drain whatever else is already
-      // delivered under a single lock acquisition.
-      for (comm::Message& m : comm_.try_recv_n(me, config_.drain_batch)) {
-        handle(m);
-      }
-    }
+    const auto deadline =
+        comm::Clock::now() + std::chrono::duration_cast<comm::Clock::duration>(
+                                 std::chrono::duration<double>(wait_real));
+    for (comm::Message& m : inbox.take(kDrainBatch, deadline)) handle(m);
     if (epoch > 0.0 && virtual_now() >= next_epoch) {
       const control::EpochRecord record = controller_->run_epoch();
       core_.flight(obs::FlightKind::kEpoch, record.time,
@@ -320,7 +326,7 @@ void DistributedExecutor::controller_loop() {
   }
 
   for (int rank = 0; rank < me; ++rank) {
-    comm_.send(me, rank, kShutdown, {});
+    send(me, rank, FrameKind::kShutdown, {});
   }
 }
 
@@ -359,8 +365,9 @@ RunReport DistributedExecutor::stream_finish() {
     // controller loop has stopped receiving; collect the stragglers now
     // that every rank is joined so the trace covers the whole stream.
     for (comm::Message& m :
-         comm_.try_recv_n(controller_rank(), std::size_t(-1))) {
-      if (m.tag == kTelemetry) {
+         mailboxes_[static_cast<std::size_t>(controller_rank())].take(
+             std::size_t(-1), comm::Clock::now())) {
+      if (m.kind == FrameKind::kTelemetry) {
         obs::apply_telemetry(obs::decode_telemetry(m.payload), config_.obs);
       }
     }

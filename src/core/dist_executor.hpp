@@ -1,17 +1,24 @@
 #pragma once
-// DistributedExecutor — the pipeline skeleton implemented purely over the
-// message-passing substrate, mirroring the eSkel-on-MPI architecture the
-// paper's implementation layer assumes.
+// DistributedExecutor — the pipeline skeleton implemented purely over
+// message passing, mirroring the eSkel-on-MPI architecture the paper's
+// implementation layer assumes.
 //
 // Topology: rank n (0 ≤ n < num_nodes) is a worker pinned to grid node n;
-// rank num_nodes is the controller. All coordination is by message:
+// rank num_nodes is the controller, sitting on node 0. Every rank owns
+// one comm::Mailbox, and all coordination is by message, named by
+// comm::wire::FrameKind (the process runtime's frame vocabulary):
 //
 //   controller → worker   kTask      (item id, stage, payload bytes)
 //   worker → worker       kTask      (next-stage hop, link-delayed)
 //   worker → controller   kResult    (finished item + output)
 //   worker → controller   kSpeedObs  (observed node speed sample)
+//   worker → controller   kTelemetry (buffered spans, when obs is on)
 //   controller → worker   kRemap     (serialized routing table)
 //   controller → worker   kShutdown
+//
+// Each message is deliverable after the grid's modeled transfer time
+// between the two ranks' nodes (scaled by time_scale), and one sender's
+// messages to one rank are never reordered.
 //
 // Workers hold a local copy of the routing table; kRemap updates arrive
 // asynchronously. Because every worker owns every stage function, a hop
@@ -39,7 +46,7 @@
 #include <optional>
 #include <thread>
 
-#include "comm/communicator.hpp"
+#include "comm/mailbox.hpp"
 #include "comm/wire.hpp"
 #include "control/adaptation_controller.hpp"
 #include "core/codec.hpp"
@@ -80,8 +87,6 @@ struct DistExecutorConfig {
   /// default) disables adaptation.
   control::AdaptationConfig adapt{.epoch = 0.0};
   bool emulate_compute = true;
-  /// Max messages a rank drains per queue-lock acquisition.
-  std::size_t drain_batch = 16;
   /// Telemetry sinks (both nullable = observability off). Workers ship
   /// their spans to the controller rank as kTelemetry messages; the
   /// sinks themselves are only ever touched from the controller side.
@@ -115,14 +120,6 @@ class DistributedExecutor : private control::AdaptationHost {
 
   sched::PipelineProfile profile() const;
 
-  // Message tags (public for tests). Mirror comm::wire::FrameKind 1:1.
-  static constexpr int kTask = 1;
-  static constexpr int kResult = 2;
-  static constexpr int kRemap = 3;
-  static constexpr int kShutdown = 4;
-  static constexpr int kSpeedObs = 5;
-  static constexpr int kTelemetry = 6;
-
  private:
   struct RoutingTable {
     // Guarded copy per worker; only the owning worker touches it outside
@@ -155,6 +152,9 @@ class DistributedExecutor : private control::AdaptationHost {
   int controller_rank() const noexcept {
     return static_cast<int>(grid_.num_nodes());
   }
+  /// Posts `payload` from rank `from` to rank `to`, deliverable after the
+  /// modeled link transfer time between their nodes.
+  void send(int from, int to, comm::wire::FrameKind kind, Bytes payload);
 
   const grid::Grid& grid_;
   std::vector<DistStage> stages_;
@@ -165,8 +165,8 @@ class DistributedExecutor : private control::AdaptationHost {
   /// rank n.
   StreamCore<Bytes> core_;
 
-  comm::GridDelayModel delays_;
-  comm::Communicator comm_;
+  /// One inbox per rank, indexed by rank.
+  std::vector<comm::Mailbox> mailboxes_;
   /// Shared free-list for hop/obs/admission buffers: workers and the
   /// controller compose messages into pooled buffers and release
   /// consumed payloads back, so a steady-state hop allocates nothing.

@@ -8,6 +8,10 @@
 namespace gridpipe::core {
 
 namespace {
+
+/// Deliverable tasks a worker takes per queue-lock acquisition.
+constexpr std::size_t kDrainBatch = 8;
+
 std::chrono::steady_clock::duration to_real(double virtual_seconds,
                                             double time_scale) {
   return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
@@ -29,7 +33,6 @@ Executor::Executor(const grid::Grid& grid, PipelineSpec spec,
   if (mapping_.num_stages() != spec_.num_stages()) {
     throw std::invalid_argument("Executor: mapping/spec stage mismatch");
   }
-  if (config_.drain_batch == 0) config_.drain_batch = 1;
   router_.reset(spec_.num_stages());
   for (std::size_t n = 0; n < grid_.num_nodes(); ++n) {
     workers_.push_back(std::make_unique<NodeWorker>());
@@ -149,7 +152,7 @@ void Executor::worker_loop_impl(grid::NodeId node) {
   obs::FlightRing flight = core_.recorder().ring(1 + node);
   for (;;) {
     std::uint64_t gen = 0;
-    auto tasks = next_tasks(node, config_.drain_batch, gen);
+    auto tasks = next_tasks(node, kDrainBatch, gen);
     if (tasks.empty()) return;
 
     for (std::size_t i = 0; i < tasks.size(); ++i) {

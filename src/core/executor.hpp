@@ -58,8 +58,6 @@ struct ExecutorConfig {
   bool emulate_compute = true;
   /// Record NWS-style probe observations for every node/link each epoch.
   bool monitor_all = true;
-  /// Max deliverable tasks a worker takes per queue-lock acquisition.
-  std::size_t drain_batch = 8;
   std::uint64_t seed = 1;
   /// Telemetry sinks (both nullable = observability off). The pointed-to
   /// tracer/registry must outlive the executor.

@@ -4,8 +4,8 @@
 // one trace file covers parent + workers on one time base.
 //
 // The payload rides inside the existing transport envelopes (a
-// comm::wire Frame of kind kTelemetry on sockets, a tag-6 message on
-// the in-process communicator) and follows the same rules as the other
+// comm::wire Frame of kind kTelemetry on sockets, a kTelemetry message
+// in a dist rank's mailbox) and follows the same rules as the other
 // five payload kinds: fixed-width little-endian fields, and a decoder
 // that bounds-checks every length against the remaining input and
 // throws std::invalid_argument on malformed bytes.

@@ -345,7 +345,6 @@ class ThreadsRuntime final : public RuntimeBase {
     config.adapt = options_.adapt;
     config.emulate_compute = options_.emulate_compute;
     config.monitor_all = options_.monitor_all;
-    if (options_.drain_batch != 0) config.drain_batch = options_.drain_batch;
     config.seed = options_.seed;
     config.obs = options_.obs.sinks();
     config.flight_events = options_.flight_events;
@@ -365,7 +364,6 @@ class DistRuntime final : public RuntimeBase {
     config.window = options_.window;
     config.adapt = options_.adapt;
     config.emulate_compute = options_.emulate_compute;
-    if (options_.drain_batch != 0) config.drain_batch = options_.drain_batch;
     config.obs = options_.obs.sinks();
     config.flight_events = options_.flight_events;
     return std::make_unique<

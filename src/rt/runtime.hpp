@@ -56,7 +56,7 @@ namespace gridpipe::rt {
 enum class RuntimeKind {
   kSim,      ///< discrete-event simulator (virtual time, reference exec)
   kThreads,  ///< one worker thread per grid node, emulated heterogeneity
-  kDist,     ///< message-passing ranks over the in-process communicator
+  kDist,     ///< message-passing ranks over in-process mailboxes
   kProcess,  ///< one forked OS process per grid node over Unix sockets
 };
 
@@ -88,8 +88,6 @@ struct RuntimeOptions {
   bool emulate_compute = true;
   /// Threads runtime: record NWS-style probes each epoch.
   bool monitor_all = true;
-  /// Max tasks drained per queue-lock acquisition (0 = substrate default).
-  std::size_t drain_batch = 0;
   /// Probe-noise RNG seed on the threads runtime.
   std::uint64_t seed = 1;
   /// Process runtime: carry worker→worker hops over a shared-memory

@@ -1,7 +1,8 @@
-// Tests for the MPI-like in-process communicator: matched receives, the
-// non-overtaking rule, delay emulation, collectives, and shutdown under
-// concurrency. Also the telemetry leg of the shared wire vocabulary:
-// kTelemetry frames round-trip through the FrameReader, malformed
+// Tests for the dist ranks' comm::Mailbox: delivery deadlines, per-sender
+// ordering under unequal delays, batch and deadline bounds on take(),
+// post wakeups, and many-to-one traffic under concurrency. Also the
+// shared wire vocabulary: pooled buffers, span codecs, and the telemetry
+// leg — kTelemetry frames round-trip through the FrameReader, malformed
 // payloads are rejected, and reserved-but-unknown frame kinds are
 // skipped so an old reader survives a newer writer.
 
@@ -16,9 +17,8 @@
 #include <new>
 #include <thread>
 
-#include "comm/communicator.hpp"
+#include "comm/mailbox.hpp"
 #include "comm/wire.hpp"
-#include "grid/builders.hpp"
 #include "obs/telemetry.hpp"
 
 // ------------------------------------------------- allocation counting
@@ -60,452 +60,142 @@ __attribute__((noinline)) void operator delete[](void* p,
 namespace gridpipe::comm {
 namespace {
 
-std::vector<std::byte> bytes_of(int v) {
-  std::vector<std::byte> out(sizeof(int));
-  std::memcpy(out.data(), &v, sizeof(int));
+using namespace std::chrono_literals;
+
+Message msg(int source, int value, Clock::time_point deliver_at) {
+  wire::Bytes payload(sizeof(int));
+  std::memcpy(payload.data(), &value, sizeof(int));
+  return Message{source, wire::FrameKind::kTask, std::move(payload),
+                 deliver_at};
+}
+
+int int_of(const Message& m) {
+  int value = 0;
+  std::memcpy(&value, m.payload.data(), sizeof(int));
+  return value;
+}
+
+std::vector<int> ints_of(const std::vector<Message>& batch) {
+  std::vector<int> out;
+  for (const Message& m : batch) out.push_back(int_of(m));
   return out;
 }
 
-int int_of(const Message& m) { return Communicator::decode<int>(m); }
+// ----------------------------------------------------------- mailbox
 
-// ------------------------------------------------------------- queue
+TEST(Mailbox, MessageInvisibleBeforeDeliverAt) {
+  Mailbox inbox;
+  const auto posted = Clock::now();
+  inbox.post(msg(1, 42, posted + 40ms));
+  EXPECT_TRUE(inbox.take(16, Clock::now()).empty());
 
-TEST(MessageQueue, FifoPerSourceAndTag) {
-  MessageQueue q;
-  for (int i = 0; i < 5; ++i) {
-    Message m;
-    m.source = 0;
-    m.tag = 7;
-    m.payload = bytes_of(i);
-    q.push(std::move(m));
+  const auto got = inbox.take(16, Clock::now() + 5s);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(int_of(got[0]), 42);
+  EXPECT_EQ(got[0].source, 1);
+  EXPECT_EQ(got[0].kind, wire::FrameKind::kTask);
+  EXPECT_GE(Clock::now() - posted, 40ms) << "handed out before deliver_at";
+}
+
+TEST(Mailbox, SenderOrderSurvivesUnequalDelays) {
+  Mailbox inbox;
+  const auto now = Clock::now();
+  // Sender 1's first message is slow and its second instant: the second
+  // must wait behind the first. Sender 2 is not held up by either.
+  inbox.post(msg(1, 10, now + 40ms));
+  inbox.post(msg(1, 11, now));
+  inbox.post(msg(2, 20, now));
+  EXPECT_EQ(ints_of(inbox.take(16, Clock::now())), std::vector<int>{20});
+
+  std::vector<int> got;
+  const auto deadline = Clock::now() + 5s;
+  while (got.size() < 2 && Clock::now() < deadline) {
+    for (int v : ints_of(inbox.take(16, deadline))) got.push_back(v);
   }
-  for (int i = 0; i < 5; ++i) {
-    const auto m = q.try_pop(0, 7);
-    ASSERT_TRUE(m);
-    EXPECT_EQ(int_of(*m), i);
-  }
+  EXPECT_EQ(got, (std::vector<int>{10, 11}));
 }
 
-TEST(MessageQueue, TagAndSourceFiltering) {
-  MessageQueue q;
-  Message a;
-  a.source = 1;
-  a.tag = 10;
-  a.payload = bytes_of(100);
-  Message b;
-  b.source = 2;
-  b.tag = 20;
-  b.payload = bytes_of(200);
-  q.push(std::move(a));
-  q.push(std::move(b));
-
-  EXPECT_FALSE(q.try_pop(1, 20));  // wrong combination
-  const auto m = q.try_pop(kAnySource, 20);
-  ASSERT_TRUE(m);
-  EXPECT_EQ(m->source, 2);
-  EXPECT_TRUE(q.try_pop(1, kAnyTag));
-  EXPECT_EQ(q.size(), 0u);
+TEST(Mailbox, DeliveredMessagesComeInArrivalOrderAcrossSenders) {
+  Mailbox inbox;
+  const auto now = Clock::now();
+  for (int i = 0; i < 6; ++i) inbox.post(msg(i % 3, i, now));
+  EXPECT_EQ(ints_of(inbox.take(16, now)),
+            (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
-TEST(MessageQueue, DelayedMessageNotVisibleEarly) {
-  MessageQueue q;
-  Message m;
-  m.source = 0;
-  m.tag = 0;
-  m.payload = bytes_of(1);
-  m.deliver_at = Clock::now() + std::chrono::milliseconds(50);
-  q.push(std::move(m));
-  EXPECT_FALSE(q.try_pop());  // not delivered yet
-  const auto got = q.pop();   // blocks until delivery
-  ASSERT_TRUE(got);
-  EXPECT_GE(Clock::now(), got->deliver_at);
+TEST(Mailbox, TakeHonoursMaxNAndDeadline) {
+  Mailbox inbox;
+  const auto now = Clock::now();
+  for (int i = 0; i < 5; ++i) inbox.post(msg(0, i, now));
+  EXPECT_TRUE(inbox.take(0, Clock::time_point::max()).empty());
+  EXPECT_EQ(ints_of(inbox.take(2, Clock::now())), (std::vector<int>{0, 1}));
+  EXPECT_EQ(ints_of(inbox.take(16, Clock::now())),
+            (std::vector<int>{2, 3, 4}));
+
+  // Empty mailbox: a timed take returns empty once its deadline passes.
+  const auto start = Clock::now();
+  EXPECT_TRUE(inbox.take(16, start + 30ms).empty());
+  EXPECT_GE(Clock::now() - start, 30ms);
+
+  // A message due after the deadline stays put.
+  inbox.post(msg(0, 9, Clock::now() + 10s));
+  EXPECT_TRUE(inbox.take(16, Clock::now() + 20ms).empty());
 }
 
-TEST(MessageQueue, CloseDrainsThenFails) {
-  MessageQueue q;
-  Message m;
-  m.payload = bytes_of(5);
-  q.push(std::move(m));
-  q.close();
-  EXPECT_TRUE(q.pop());          // drain
-  EXPECT_FALSE(q.pop());         // closed and empty
-  Message late;
-  EXPECT_FALSE(q.push(std::move(late)));
-}
-
-TEST(MessageQueue, PushAfterCloseFails) {
-  MessageQueue q;
-  q.close();
-  EXPECT_TRUE(q.closed());
-  Message m;
-  m.payload = bytes_of(1);
-  EXPECT_FALSE(q.push(std::move(m)));
-  std::vector<Message> batch(2);
-  EXPECT_FALSE(q.push_n(std::move(batch)));
-  EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(MessageQueue, CloseDrainsAllDeliveredMessagesInOrder) {
-  MessageQueue q;
-  for (int i = 0; i < 3; ++i) {
-    Message m;
-    m.source = i;  // three distinct pairs
-    m.payload = bytes_of(i);
-    q.push(std::move(m));
-  }
-  q.close();
-  for (int i = 0; i < 3; ++i) {
-    const auto m = q.pop();
-    ASSERT_TRUE(m);
-    EXPECT_EQ(int_of(*m), i);  // global arrival order survives close
-  }
-  EXPECT_FALSE(q.pop());
-}
-
-TEST(MessageQueue, PopUntilRespectsLateDelivery) {
-  MessageQueue q;
-  Message m;
-  m.payload = bytes_of(1);
-  m.deliver_at = Clock::now() + std::chrono::seconds(2);
-  q.push(std::move(m));
-  // The only message is delivered well after the deadline: timed pop must
-  // give up at the deadline rather than return it early or block until
-  // delivery. Margins are wide (30 ms deadline vs 2 s delivery, 1.5 s
-  // upper bound) so scheduler jitter on a loaded CI machine cannot flip
-  // the give-up path into the block-until-delivery path.
-  const auto t0 = Clock::now();
-  const auto got = q.pop_until(t0 + std::chrono::milliseconds(30));
-  EXPECT_FALSE(got);
-  const double elapsed =
-      std::chrono::duration<double>(Clock::now() - t0).count();
-  EXPECT_GE(elapsed, 0.025);
-  EXPECT_LT(elapsed, 1.5);
-  EXPECT_EQ(q.size(), 1u);  // still queued for a later pop
-}
-
-TEST(MessageQueue, UndeliveredHeadBlocksSamePairButNotOthers) {
-  MessageQueue q;
-  Message first;
-  first.source = 0;
-  first.tag = 0;
-  first.payload = bytes_of(1);
-  first.deliver_at = Clock::now() + std::chrono::milliseconds(60);
-  q.push(std::move(first));
-  Message second;
-  second.source = 0;
-  second.tag = 0;
-  second.payload = bytes_of(2);
-  q.push(std::move(second));
-  Message other;
-  other.source = 1;
-  other.tag = 0;
-  other.payload = bytes_of(3);
-  q.push(std::move(other));
-
-  // Non-overtaking: the delivered second message of pair (0,0) must not
-  // overtake its undelivered head; an unrelated pair is unaffected.
-  EXPECT_FALSE(q.try_pop(0, 0));
-  const auto unrelated = q.try_pop(1, 0);
-  ASSERT_TRUE(unrelated);
-  EXPECT_EQ(int_of(*unrelated), 3);
-  const auto head = q.pop(0, 0);  // waits out the delivery deadline
-  ASSERT_TRUE(head);
-  EXPECT_EQ(int_of(*head), 1);
-  const auto tail = q.try_pop(0, 0);
-  ASSERT_TRUE(tail);
-  EXPECT_EQ(int_of(*tail), 2);
-}
-
-TEST(MessageQueue, PushNPopNRoundTripPreservesArrivalOrder) {
-  MessageQueue q;
-  std::vector<Message> batch;
-  for (int i = 0; i < 10; ++i) {
-    Message m;
-    m.source = i % 3;  // interleaved pairs
-    m.tag = 7;
-    m.payload = bytes_of(i);
-    batch.push_back(std::move(m));
-  }
-  EXPECT_TRUE(q.push_n(std::move(batch)));
-  EXPECT_EQ(q.size(), 10u);
-
-  const auto first = q.pop_n(4, kAnySource, 7);
-  ASSERT_EQ(first.size(), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(int_of(first[i]), i);
-  const auto rest = q.try_pop_n(100, kAnySource, 7);
-  ASSERT_EQ(rest.size(), 6u);
-  for (int i = 0; i < 6; ++i) EXPECT_EQ(int_of(rest[i]), i + 4);
-  EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(MessageQueue, PopNFiltersAndHonorsMax) {
-  MessageQueue q;
-  for (int i = 0; i < 6; ++i) {
-    Message m;
-    m.source = i % 2;
-    m.tag = i % 2;
-    m.payload = bytes_of(i);
-    q.push(std::move(m));
-  }
-  const auto odd = q.try_pop_n(2, 1, 1);  // exact pair, capped at 2
-  ASSERT_EQ(odd.size(), 2u);
-  EXPECT_EQ(int_of(odd[0]), 1);
-  EXPECT_EQ(int_of(odd[1]), 3);
-  EXPECT_EQ(q.size(), 4u);
-  EXPECT_TRUE(q.try_pop_n(0, kAnySource, kAnyTag).empty());
-}
-
-TEST(MessageQueue, PopNReturnsEmptyOnCloseAndDrained) {
-  MessageQueue q;
-  std::thread closer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    q.close();
-  });
-  EXPECT_TRUE(q.pop_n(8).empty());  // blocked, woken by close
-  closer.join();
-}
-
-TEST(MessageQueue, PushNBlocksForCapacityUntilConsumerDrains) {
-  MessageQueue q(4);
-  std::vector<Message> batch(8);
-  for (int i = 0; i < 8; ++i) batch[static_cast<std::size_t>(i)].payload =
-      bytes_of(i);
-  std::thread consumer([&] {
-    int expected = 0;
-    while (expected < 8) {
-      const auto m = q.pop();
-      ASSERT_TRUE(m);
-      EXPECT_EQ(int_of(*m), expected++);
-    }
-  });
-  EXPECT_TRUE(q.push_n(std::move(batch)));  // must not deadlock at 4
-  consumer.join();
-  EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(MessageQueue, BlockedReceiverWokenBySend) {
-  MessageQueue q;
-  std::thread receiver([&] {
-    const auto m = q.pop(kAnySource, 3);
-    ASSERT_TRUE(m);
-    EXPECT_EQ(int_of(*m), 42);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  Message m;
-  m.tag = 3;
-  m.payload = bytes_of(42);
-  q.push(std::move(m));
-  receiver.join();
-}
-
-// ------------------------------------------------------- communicator
-
-TEST(Communicator, PingPong) {
-  Communicator comm(2);
-  std::thread peer([&] {
-    const auto m = comm.recv(1);
-    ASSERT_TRUE(m);
-    comm.send_value(1, 0, 1, int_of(*m) + 1);
-  });
-  comm.send_value(0, 1, 0, 41);
-  const auto reply = comm.recv(0, 1, 1);
-  peer.join();
-  ASSERT_TRUE(reply);
-  EXPECT_EQ(int_of(*reply), 42);
-}
-
-TEST(Communicator, NonOvertakingPerPair) {
-  Communicator comm(2);
-  for (int i = 0; i < 100; ++i) comm.send_value(0, 1, 5, i);
-  for (int i = 0; i < 100; ++i) {
-    const auto m = comm.recv(1, 0, 5);
-    ASSERT_TRUE(m);
-    EXPECT_EQ(int_of(*m), i);
-  }
-}
-
-TEST(Communicator, BadRanksThrow) {
-  Communicator comm(2);
-  EXPECT_THROW(comm.send(0, 5, 0, {}), std::out_of_range);
-  EXPECT_THROW(comm.recv(-1), std::out_of_range);
-  EXPECT_THROW(Communicator(0), std::invalid_argument);
-}
-
-TEST(Communicator, GridDelayModelDelaysDelivery) {
-  // 2 nodes with a 100 ms link (at time_scale 1).
-  auto g = grid::uniform_cluster(2, 1.0, 0.1, 1e9);
-  const GridDelayModel delays(g, {0, 1}, 1.0);
-  Communicator comm(2, &delays);
-  const auto t0 = Clock::now();
-  comm.send_value(0, 1, 0, 1);
-  EXPECT_FALSE(comm.try_recv(1));  // still in flight
-  const auto m = comm.recv(1);
-  ASSERT_TRUE(m);
-  const double elapsed =
-      std::chrono::duration<double>(Clock::now() - t0).count();
-  EXPECT_GE(elapsed, 0.095);
-  EXPECT_LT(elapsed, 0.5);
-}
-
-TEST(Communicator, LoopbackIsImmediate) {
-  auto g = grid::uniform_cluster(2, 1.0, 0.2, 1e9);
-  const GridDelayModel delays(g, {0, 0}, 1.0);  // both ranks on node 0
-  Communicator comm(2, &delays);
-  comm.send_value(0, 1, 0, 1);
-  // Loopback latency is 0.1 ms — delivered almost at once.
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_TRUE(comm.try_recv(1));
-}
-
-TEST(Communicator, BarrierSynchronizesRanks) {
-  constexpr int kRanks = 4;
-  Communicator comm(kRanks);
-  std::atomic<int> arrived{0};
-  std::vector<std::thread> threads;
-  for (int r = 0; r < kRanks; ++r) {
-    threads.emplace_back([&, r] {
-      (void)r;
-      arrived.fetch_add(1);
-      comm.barrier();
-      // After the barrier, every rank must have arrived.
-      EXPECT_EQ(arrived.load(), kRanks);
-    });
-  }
-  for (auto& t : threads) t.join();
-}
-
-// Regression: shutdown() used to set the shutdown_ flag and notify the
-// barrier condition variable WITHOUT holding barrier_mutex_. A rank
-// between its predicate check (generation unchanged, not shut down) and
-// its cv re-block then lost the notify forever and barrier() hung on a
-// communicator that was already shut down. The fix notifies under
-// barrier_mutex_; this test races one blocked barrier waiter against
-// shutdown many times, with a watchdog so the old bug reports as a
-// failure instead of a ctest timeout. Found by the thread-safety
-// annotation sweep; TSan doesn't flag lost wakeups, only the hang does.
-TEST(Communicator, ShutdownAlwaysWakesBarrierWaiter) {
+// Regression guard for lost wakeups: a taker blocked with no deadline
+// must be woken by a post that races its predicate-check-to-block
+// window. Run under a watchdog so a lost wakeup reports as a failure
+// instead of a ctest timeout (TSan does not flag lost wakeups).
+TEST(Mailbox, BlockedTakeWokenByPost) {
   auto run_cycles = std::async(std::launch::async, [] {
     for (int cycle = 0; cycle < 500; ++cycle) {
-      Communicator comm(2);  // 2 ranks: one waiter never completes alone
-      std::thread waiter([&comm] { comm.barrier(); });
-      // No sleep: the point is to land shutdown() inside the waiter's
-      // predicate-check-to-block window as often as possible.
-      comm.shutdown();
-      waiter.join();
+      Mailbox inbox;
+      auto taken = std::async(std::launch::async, [&inbox] {
+        return inbox.take(1, Clock::time_point::max());
+      });
+      if (cycle % 2 == 0) std::this_thread::sleep_for(50us);
+      inbox.post(msg(0, cycle, Clock::now()));
+      const auto got = taken.get();
+      if (got.size() != 1 || int_of(got[0]) != cycle) return false;
     }
     return true;
   });
-  ASSERT_EQ(run_cycles.wait_for(std::chrono::seconds(60)),
-            std::future_status::ready)
-      << "barrier() hung: a waiter lost the shutdown wakeup";
+  ASSERT_EQ(run_cycles.wait_for(60s), std::future_status::ready)
+      << "take() hung: a blocked taker lost the post wakeup";
   EXPECT_TRUE(run_cycles.get());
 }
 
-TEST(Communicator, BroadcastDistributesPayload) {
-  constexpr int kRanks = 3;
-  Communicator comm(kRanks);
-  std::vector<std::thread> threads;
-  std::vector<int> received(kRanks, -1);
-  for (int r = 1; r < kRanks; ++r) {
-    threads.emplace_back([&, r] {
-      const auto payload = comm.broadcast(r, 0);
-      ASSERT_EQ(payload.size(), sizeof(int));
-      std::memcpy(&received[static_cast<std::size_t>(r)], payload.data(),
-                  sizeof(int));
-    });
-  }
-  comm.broadcast(0, 0, bytes_of(99));
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(received[1], 99);
-  EXPECT_EQ(received[2], 99);
-}
-
-TEST(Communicator, GatherCollectsByRank) {
-  constexpr int kRanks = 3;
-  Communicator comm(kRanks);
-  std::vector<std::thread> threads;
-  for (int r = 1; r < kRanks; ++r) {
-    threads.emplace_back([&, r] { comm.gather(r, 0, bytes_of(r * 10)); });
-  }
-  const auto all = comm.gather(0, 0, bytes_of(0));
-  for (auto& t : threads) t.join();
-  ASSERT_EQ(all.size(), 3u);
-  for (int r = 0; r < kRanks; ++r) {
-    int v = -1;
-    std::memcpy(&v, all[static_cast<std::size_t>(r)].data(), sizeof(int));
-    EXPECT_EQ(v, r * 10);
-  }
-}
-
-TEST(Communicator, SendNRecvNBatchRoundTrip) {
-  Communicator comm(2);
-  std::vector<std::vector<std::byte>> payloads;
-  for (int i = 0; i < 32; ++i) payloads.push_back(bytes_of(i));
-  ASSERT_TRUE(comm.send_n(0, 1, 9, std::move(payloads)));
-
-  int expected = 0;
-  while (expected < 32) {
-    const auto batch = comm.recv_n(1, 10, 0, 9);
-    ASSERT_FALSE(batch.empty());
-    ASSERT_LE(batch.size(), 10u);
-    for (const Message& m : batch) {
-      EXPECT_EQ(m.source, 0);
-      EXPECT_EQ(m.tag, 9);
-      EXPECT_EQ(int_of(m), expected++);
-    }
-  }
-  EXPECT_TRUE(comm.try_recv_n(1, 10).empty());
-}
-
-TEST(Communicator, RecvNReturnsEmptyAfterShutdown) {
-  Communicator comm(2);
-  comm.shutdown();
-  EXPECT_TRUE(comm.recv_n(1, 4).empty());
-  EXPECT_FALSE(comm.send_n(0, 1, 0, {bytes_of(1)}));
-}
-
-TEST(Communicator, ShutdownWakesBlockedReceivers) {
-  Communicator comm(2);
-  std::thread receiver([&] {
-    const auto m = comm.recv(1);
-    EXPECT_FALSE(m);  // woken by shutdown, no message
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  comm.shutdown();
-  receiver.join();
-  EXPECT_FALSE(comm.send(0, 1, 0, {}));
-}
-
-TEST(Communicator, DecodeRejectsSizeMismatch) {
-  Message m;
-  m.payload = bytes_of(1);
-  EXPECT_THROW(Communicator::decode<double>(m), std::invalid_argument);
-}
-
-// Stress: many senders, one receiver; every message arrives exactly once.
-TEST(Communicator, ManyToOneStress) {
+// Stress: many senders with mixed delays, one taker; every message
+// arrives exactly once and each sender's messages stay in order.
+TEST(Mailbox, ManyToOneStress) {
   constexpr int kSenders = 4;
-  constexpr int kPerSender = 250;
-  Communicator comm(kSenders + 1);
+  constexpr int kPerSender = 500;
+  Mailbox inbox;
   std::vector<std::thread> senders;
   for (int s = 0; s < kSenders; ++s) {
-    senders.emplace_back([&, s] {
+    senders.emplace_back([&inbox, s] {
       for (int i = 0; i < kPerSender; ++i) {
-        comm.send_value(s + 1, 0, 0, (s + 1) * 1000 + i);
+        const auto delay = std::chrono::microseconds((i * 7 + s) % 5 * 20);
+        inbox.post(msg(s, i, Clock::now() + delay));
       }
     });
   }
-  std::vector<int> seen;
-  for (int i = 0; i < kSenders * kPerSender; ++i) {
-    const auto m = comm.recv(0);
-    ASSERT_TRUE(m);
-    seen.push_back(int_of(*m));
+  std::vector<std::vector<int>> seen(kSenders);
+  int total = 0;
+  const auto deadline = Clock::now() + 30s;
+  while (total < kSenders * kPerSender && Clock::now() < deadline) {
+    for (const Message& m : inbox.take(16, deadline)) {
+      seen[static_cast<std::size_t>(m.source)].push_back(int_of(m));
+      ++total;
+    }
   }
   for (auto& t : senders) t.join();
-  std::sort(seen.begin(), seen.end());
-  EXPECT_TRUE(std::adjacent_find(seen.begin(), seen.end()) == seen.end());
-  EXPECT_EQ(seen.size(),
-            static_cast<std::size_t>(kSenders * kPerSender));
+  EXPECT_TRUE(inbox.take(16, Clock::now()).empty());
+  for (int s = 0; s < kSenders; ++s) {
+    std::vector<int> expected(kPerSender);
+    for (int i = 0; i < kPerSender; ++i) expected[i] = i;
+    EXPECT_EQ(seen[static_cast<std::size_t>(s)], expected) << "sender " << s;
+  }
 }
 
 // ------------------------------------------------- telemetry wire leg
@@ -586,15 +276,18 @@ TEST(TelemetryWire, ReservedKindsSkippedForForwardCompat) {
   EXPECT_THROW(reader.next(), std::invalid_argument);
 }
 
-TEST(TelemetryWire, BatchRidesTheCommunicatorAsTag6) {
+TEST(TelemetryWire, BatchRidesTheMailboxAsKTelemetry) {
   // In-process ranks don't need framing: the telemetry payload travels
-  // as an ordinary tagged message, same as the dist executor ships it.
+  // as an ordinary kTelemetry message, same as the dist executor ships it.
   const obs::TelemetryBatch batch = sample_telemetry();
-  Communicator comm(2);
-  ASSERT_TRUE(comm.send(1, 0, 6, obs::encode_telemetry(batch)));
-  const auto m = comm.recv(0, 1, 6);
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(obs::decode_telemetry(m->payload), batch);
+  Mailbox inbox;
+  inbox.post({1, wire::FrameKind::kTelemetry, obs::encode_telemetry(batch),
+              Clock::now()});
+  const auto got = inbox.take(1, Clock::now());
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].source, 1);
+  EXPECT_EQ(got[0].kind, wire::FrameKind::kTelemetry);
+  EXPECT_EQ(obs::decode_telemetry(got[0].payload), batch);
 }
 
 // --------------------------------------------------- pooled zero-copy

@@ -1,5 +1,5 @@
 // Tests for the message-passing DistributedExecutor: wire formats,
-// end-to-end correctness over the communicator, heterogeneity emulation
+// end-to-end correctness over per-rank mailboxes, heterogeneity emulation
 // and controller-driven adaptation.
 
 #include <gtest/gtest.h>
@@ -94,6 +94,28 @@ TEST(DistributedExecutor, ColocatedMappingWorks) {
   const auto report = executor.run(std::move(inputs));
   EXPECT_EQ(report.items, 20u);
   EXPECT_EQ(report.final_mapping, "(2,2,2)");
+}
+
+// Each message is held back by the grid's modeled transfer time between
+// the two ranks' nodes (the controller sits on node 0): a stage hop
+// across the slow link and the result's trip back to the controller each
+// pay its 1 virtual s latency, while loopback hops cost almost nothing.
+TEST(DistributedExecutor, CrossNodeHopsPayTheLinkLatency) {
+  const auto g = grid::uniform_cluster(2, 1.0, /*latency=*/1.0, 1e9);
+  DistExecutorConfig config;
+  config.time_scale = 0.05;
+  config.emulate_compute = false;
+  const auto latency_of = [&](std::vector<NodeId> nodes) {
+    DistributedExecutor executor(g, arithmetic_stages(),
+                                 sched::Mapping(std::move(nodes)), config);
+    std::vector<Bytes> inputs;
+    inputs.push_back(bytes_of_int(1));
+    const auto report = executor.run(std::move(inputs));
+    EXPECT_EQ(report.items, 1u);
+    return report.metrics.latency().max();
+  };
+  EXPECT_GE(latency_of({0, 1, 1}), 1.99);  // node 0 -> 1 -> controller
+  EXPECT_LT(latency_of({0, 0, 0}), 1.0);   // loopback only
 }
 
 TEST(DistributedExecutor, HeterogeneityChangesThroughput) {

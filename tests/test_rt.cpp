@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <future>
+#include <memory>
 #include <thread>
 
 #include "grid/builders.hpp"
@@ -527,6 +529,59 @@ TEST(RtObservability, DisabledByDefaultLeavesReportSnapshotEmpty) {
   const auto report = runtime->run(int64_items(8));
   EXPECT_EQ(report.items, 8u);
   EXPECT_TRUE(report.obs_metrics.empty());
+}
+
+// Regression: dist's per-rank queues once held at most 1,024 messages
+// and blocked a sender when full. With a wider credit window and every
+// stage on one node, the controller and that node's worker both blocked
+// posting into the worker's full queue, and the stream hung forever.
+// The stream runs on its own thread under a watchdog so a hang reports
+// as a failure; a hung stream's thread is detached and its session
+// leaked, along with the grid it reads, since it can never be joined.
+// dist runs last: the process runtime refuses to open while another
+// session is live.
+TEST(RtWindow, WideWindowOnOneNodeFinishesOnEveryLiveSubstrate) {
+  const auto g = std::make_shared<const grid::Grid>(
+      grid::uniform_cluster(3, 1.0, 1e-3, 1e8));
+  constexpr std::int64_t kItems = 5000;
+  const auto expected = expected_outputs(kItems);
+  for (RuntimeKind kind :
+       {RuntimeKind::kThreads, RuntimeKind::kProcess, RuntimeKind::kDist}) {
+    RuntimeOptions options;
+    options.time_scale = 1e-6;
+    options.window = 2048;
+    options.emulate_compute = false;
+    options.initial_mapping = sched::Mapping(std::vector<grid::NodeId>{0, 0, 0});
+    std::shared_ptr<Runtime> runtime =
+        make_runtime(kind, *g, typed_spec(), options);
+    std::shared_ptr<Session> session = runtime->open();
+    auto outputs = std::make_shared<std::promise<std::vector<std::string>>>();
+    auto finished = outputs->get_future();
+    std::thread stream([g, runtime, session, outputs] {
+      try {
+        std::vector<std::string> got;
+        for (std::int64_t i = 0; i < kItems; ++i) session->push(std::any(i));
+        session->close();
+        session->report();
+        while (auto out = session->try_pop()) {
+          got.push_back(std::any_cast<std::string>(std::move(*out)));
+        }
+        outputs->set_value(std::move(got));
+      } catch (...) {
+        outputs->set_exception(std::current_exception());
+      }
+    });
+    if (finished.wait_for(std::chrono::seconds(60)) !=
+        std::future_status::ready) {
+      stream.detach();
+      ADD_FAILURE() << to_string(kind)
+                    << ": 5,000 items with window 2048 on one node did not "
+                       "finish within 60 s";
+      continue;
+    }
+    stream.join();
+    EXPECT_EQ(finished.get(), expected) << to_string(kind);
+  }
 }
 
 }  // namespace

@@ -66,7 +66,7 @@ struct Row {
 };
 
 core::RunReport run_one(const grid::Grid& g, recover::RecoveryOptions recovery) {
-  proc::ProcExecutorConfig config;
+  rt::RuntimeOptions config;
   config.time_scale = kTimeScale;
   config.recovery = std::move(recovery);
   proc::ProcessExecutor executor(g, stages(),

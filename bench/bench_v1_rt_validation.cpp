@@ -43,7 +43,7 @@ int main() {
     des.simulator().run();
     const double sim_thr = des.metrics().mean_throughput();
 
-    core::ExecutorConfig exec_config;
+    rt::RuntimeOptions exec_config;
     exec_config.time_scale = 0.004;
     core::Executor executor(g, make_spec(), mapping, exec_config);
     std::vector<std::any> inputs;

@@ -45,7 +45,7 @@ int main() {
     stages.push_back({name, append_pid, 0.03, 64});
   }
 
-  proc::ProcExecutorConfig config;
+  rt::RuntimeOptions config;
   config.time_scale = 0.005;
   config.adapt.epoch = 2.0;
   config.adapt.trigger = control::AdaptationTrigger::kOnChange;

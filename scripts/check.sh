@@ -98,17 +98,18 @@ if [[ -z "${SKIP_ASAN:-}" && ( -z "${ONLY_SET}" || -n "${ASAN_ONLY:-}" ) ]]; the
     -DGRIDPIPE_BUILD_BENCH=OFF -DGRIDPIPE_BUILD_EXAMPLES=OFF
   cmake --build "$ASAN_BUILD_DIR" -j"$JOBS" \
     --target test_proc_executor test_comm test_dist_executor test_shm_ring \
-    test_flight test_recover
+    test_flight test_recover test_stream_core
   # The proc suite forks real worker processes under ASan (fork is fine
   # with ASan, unlike TSan; children _exit so LeakSanitizer only audits
   # the parent). flight rides along for its mmap lifetime and its own
   # fork + SIGKILL forensics case; recover SIGKILLs workers mid-stream
-  # and audits the respawn/replay teardown paths. The wall-clock
-  # throughput-band test is excluded for the same reason as under TSan:
-  # sanitizer slowdown voids its band.
+  # and audits the respawn/replay teardown paths; stream_core's ordered
+  # buffer and admission bookkeeping get the heap checks their TSan run
+  # lacks. The wall-clock throughput-band test is excluded for the same
+  # reason as under TSan: sanitizer slowdown voids its band.
   (cd "$ASAN_BUILD_DIR" &&
     GTEST_FILTER='-DistributedExecutor.HeterogeneityChangesThroughput' \
-    ctest --output-on-failure -R '^(proc_executor|comm|dist_executor|shm_ring|flight|recover)$')
+    ctest --output-on-failure -R '^(proc_executor|comm|dist_executor|shm_ring|flight|recover|stream_core)$')
 fi
 
 if [[ -z "${SKIP_CLANG:-}" && ( -z "${ONLY_SET}" || -n "${CLANG_ONLY:-}" ) ]]; then

@@ -1,8 +1,8 @@
 #pragma once
 // The shared adaptation configuration: every runtime that runs the paper's
-// monitor → forecast → map → gate → remap loop (the DES driver, the
-// threaded Executor, the message-passing DistributedExecutor) embeds one
-// AdaptationConfig instead of carrying its own copy of the knobs.
+// monitor → forecast → map → gate → remap loop (the DES driver and the
+// threads, dist and process executors) embeds one AdaptationConfig
+// instead of carrying its own copy of the knobs.
 
 #include <cstddef>
 
@@ -34,12 +34,13 @@ const char* to_string(MapperKind kind);
 const char* to_string(AdaptationTrigger trigger);
 
 /// One set of knobs for the whole adaptation pattern. Embedded by
-/// sim::DriverOptions, core::ExecutorConfig and core::DistExecutorConfig.
+/// sim::DriverOptions and rt::RuntimeOptions (which every live executor
+/// takes).
 struct AdaptationConfig {
   MapperKind mapper = MapperKind::kAuto;
   /// Virtual seconds between adaptation decisions. The simulator driver
-  /// keeps this default; the live runtimes override it to 0 in their
-  /// config initializers (0 = adaptation off, their historical opt-in).
+  /// keeps this default; rt::RuntimeOptions overrides it to 0 for the
+  /// live runtimes (0 = adaptation off, their historical opt-in).
   double epoch = 10.0;
   sched::AdaptationOptions policy{};
   sched::PerfModelOptions model{};

@@ -9,12 +9,12 @@
 // the decision says so. Every epoch is recorded as an EpochRecord so all
 // runtimes expose the same diagnostics timeline.
 //
-// The host — simulator driver, threaded Executor, or DistributedExecutor —
-// keeps what is genuinely substrate-specific: the notion of time, the
-// deployed mapping, and the mechanics of a live remap. The controller owns
-// everything else, including the registry the host feeds observations
-// into (record_observation is thread-safe; the threaded runtime calls it
-// from worker threads).
+// The host — simulator driver, threaded Executor, DistributedExecutor or
+// proc::ProcessExecutor — keeps what is genuinely substrate-specific: the
+// notion of time, the deployed mapping, and the mechanics of a live
+// remap. The controller owns everything else, including the registry the
+// host feeds observations into (record_observation is thread-safe; the
+// threaded runtime calls it from worker threads).
 
 #include <vector>
 

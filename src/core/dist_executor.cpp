@@ -22,14 +22,15 @@ constexpr std::size_t kDrainBatch = 16;
 DistributedExecutor::DistributedExecutor(const grid::Grid& grid,
                                          std::vector<DistStage> stages,
                                          sched::Mapping initial_mapping,
-                                         DistExecutorConfig config)
+                                         const rt::RuntimeOptions& options)
     : grid_(grid),
       stages_(std::move(stages)),
       initial_mapping_(std::move(initial_mapping)),
-      config_(config),
-      core_("DistributedExecutor", stages_.size(), config.window,
-            config.time_scale, config.obs, grid.num_nodes() + 1,
-            config.flight_events),
+      options_(options),
+      obs_(options_.obs.sinks()),
+      core_("DistributedExecutor", stages_.size(), options_.window,
+            options_.time_scale, obs_, grid.num_nodes() + 1,
+            obs::kDefaultFlightEvents),
       mailboxes_(grid.num_nodes() + 1) {
   if (stages_.empty()) {
     throw std::invalid_argument("DistributedExecutor: no stages");
@@ -56,9 +57,9 @@ DistributedExecutor::~DistributedExecutor() {
 std::unique_ptr<control::AdaptationController>
 DistributedExecutor::make_controller() {
   return std::make_unique<control::AdaptationController>(
-      grid_, profile_, config_.adapt,
+      grid_, profile_, options_.adapt,
       static_cast<control::AdaptationHost&>(*this),
-      control::AdaptationController::Mode::kPolicy, config_.obs);
+      control::AdaptationController::Mode::kPolicy, obs_);
 }
 
 sched::PipelineProfile profile_from_stages(
@@ -92,7 +93,7 @@ void DistributedExecutor::send(int from, int to, FrameKind kind,
   const double delay =
       grid_.transfer_time(node_of(from), node_of(to),
                           static_cast<double>(payload.size()), virtual_now()) *
-      config_.time_scale;
+      options_.time_scale;
   mailboxes_[static_cast<std::size_t>(to)].post(
       {from, kind, std::move(payload),
        comm::Clock::now() + std::chrono::duration_cast<comm::Clock::duration>(
@@ -123,7 +124,7 @@ void DistributedExecutor::worker_loop_impl(int rank) {
   // controller rank as kTelemetry messages after each drained batch —
   // the sinks themselves live on the controller side, so one trace file
   // covers every rank on the shared virtual clock.
-  const bool telemetry = config_.obs.any();
+  const bool telemetry = obs_.any();
   obs::TelemetryBatch spans;
   std::uint64_t executed = 0;
   const auto flush_telemetry = [&] {
@@ -182,18 +183,18 @@ void DistributedExecutor::worker_loop_impl(int rank) {
       Bytes out = pool_.acquire();
       comm::wire::encode_task_header_into(out, item, stage + 1);
       stages_[stage].fn(task.payload, out);
-      if (config_.emulate_compute) {
+      if (options_.emulate_compute) {
         const double service =
             stages_[stage].work / grid_.effective_speed(node, v0);
         std::this_thread::sleep_until(
             t0 +
             std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(service * config_.time_scale)));
+                std::chrono::duration<double>(service * options_.time_scale)));
       }
       const double duration =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
               .count() /
-          config_.time_scale;
+          options_.time_scale;
       flight.record(obs::FlightKind::kTaskDone, v0 + duration, stage, item,
                     std::bit_cast<std::uint64_t>(duration));
 
@@ -266,7 +267,7 @@ void DistributedExecutor::apply_remap(const sched::Mapping& to,
 void DistributedExecutor::controller_loop() {
   const int me = controller_rank();
   comm::Mailbox& inbox = mailboxes_[static_cast<std::size_t>(me)];
-  const double epoch = config_.adapt.epoch;
+  const double epoch = options_.adapt.epoch;
   double next_epoch = epoch;
 
   auto handle = [&](comm::Message& message) {
@@ -286,7 +287,7 @@ void DistributedExecutor::controller_loop() {
       pool_.release(std::move(message.payload));
     } else if (message.kind == FrameKind::kTelemetry) {
       obs::apply_telemetry(obs::decode_telemetry(message.payload),
-                           config_.obs);
+                           obs_);
       pool_.release(std::move(message.payload));
     }
   };
@@ -310,7 +311,7 @@ void DistributedExecutor::controller_loop() {
     // whole train of them.
     double wait_real = 0.05;
     if (epoch > 0.0) {
-      wait_real = std::clamp((next_epoch - virtual_now()) * config_.time_scale,
+      wait_real = std::clamp((next_epoch - virtual_now()) * options_.time_scale,
                              1e-3, 0.05);
     }
     const auto deadline =
@@ -360,7 +361,7 @@ RunReport DistributedExecutor::stream_finish() {
   controller_thread_.join();
   for (auto& t : worker_threads_) t.join();
   worker_threads_.clear();
-  if (config_.obs.any()) {
+  if (obs_.any()) {
     // Workers flush their final telemetry on kShutdown, after the
     // controller loop has stopped receiving; collect the stragglers now
     // that every rank is joined so the trace covers the whole stream.
@@ -368,7 +369,7 @@ RunReport DistributedExecutor::stream_finish() {
          mailboxes_[static_cast<std::size_t>(controller_rank())].take(
              std::size_t(-1), comm::Clock::now())) {
       if (m.kind == FrameKind::kTelemetry) {
-        obs::apply_telemetry(obs::decode_telemetry(m.payload), config_.obs);
+        obs::apply_telemetry(obs::decode_telemetry(m.payload), obs_);
       }
     }
   }

@@ -39,7 +39,8 @@
 // credit window, stream_try_pop() returns outputs in input order, and
 // run() is a batch wrapper over one stream. The stream state lives in
 // the shared core::StreamCore; this class keeps the ranks and their
-// message loops.
+// message loops. It is configured by the shared rt::RuntimeOptions and
+// ignores the threads-, process- and sim-only knobs.
 
 #include <functional>
 #include <memory>
@@ -54,6 +55,7 @@
 #include "core/stream_core.hpp"
 #include "obs/flight.hpp"
 #include "obs/sinks.hpp"
+#include "rt/options.hpp"
 #include "sched/replica_router.hpp"
 #include "util/json.hpp"
 
@@ -80,26 +82,15 @@ struct DistStage {
 /// stay comparable. Used by DistributedExecutor and proc::ProcessExecutor.
 sched::PipelineProfile profile_from_stages(const std::vector<DistStage>& stages);
 
-struct DistExecutorConfig {
-  double time_scale = 0.01;  ///< real seconds per virtual second
-  std::size_t window = 0;    ///< in-flight credit (0 = auto)
-  /// Shared control-loop knobs. adapt.epoch = 0 (the live-runtime
-  /// default) disables adaptation.
-  control::AdaptationConfig adapt{.epoch = 0.0};
-  bool emulate_compute = true;
-  /// Telemetry sinks (both nullable = observability off). Workers ship
-  /// their spans to the controller rank as kTelemetry messages; the
-  /// sinks themselves are only ever touched from the controller side.
-  obs::Sinks obs{};
-  /// Flight-recorder ring size per lane (0 disables the forensic ring).
-  std::size_t flight_events = obs::kDefaultFlightEvents;
-};
-
 class DistributedExecutor : private control::AdaptationHost {
  public:
+  /// Reads time_scale, window, adapt, emulate_compute and obs from
+  /// `options`. Throws std::invalid_argument on an empty stage vector, a
+  /// mapping that does not fit, or a time_scale that is not finite and
+  /// > 0.
   DistributedExecutor(const grid::Grid& grid, std::vector<DistStage> stages,
                       sched::Mapping initial_mapping,
-                      DistExecutorConfig config);
+                      const rt::RuntimeOptions& options);
   ~DistributedExecutor() override;
 
   /// Blocking convenience wrapper over one stream: pushes every input,
@@ -159,7 +150,11 @@ class DistributedExecutor : private control::AdaptationHost {
   const grid::Grid& grid_;
   std::vector<DistStage> stages_;
   sched::Mapping initial_mapping_;
-  DistExecutorConfig config_;
+  const rt::RuntimeOptions options_;
+  /// options_.obs as raw pointers. Workers ship their spans to the
+  /// controller rank as kTelemetry messages; the sinks themselves are
+  /// only ever touched from the controller side.
+  const obs::Sinks obs_;
   /// Stream lifecycle, admission, ordered output, errors, status. Its
   /// flight recorder's lane 0 is the controller rank, lane 1 + n worker
   /// rank n.

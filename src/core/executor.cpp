@@ -20,15 +20,18 @@ std::chrono::steady_clock::duration to_real(double virtual_seconds,
 }  // namespace
 
 Executor::Executor(const grid::Grid& grid, PipelineSpec spec,
-                   sched::Mapping initial_mapping, ExecutorConfig config)
+                   sched::Mapping initial_mapping,
+                   const rt::RuntimeOptions& options)
     : grid_(grid),
       spec_(std::move(spec)),
       profile_(spec_.to_profile()),
-      config_(config),
-      core_("Executor", spec_.num_stages(), config.window, config.time_scale,
-            config.obs, grid.num_nodes() + 1, config.flight_events),
+      options_(options),
+      obs_(options_.obs.sinks()),
+      core_("Executor", spec_.num_stages(), options_.window,
+            options_.time_scale, obs_, grid.num_nodes() + 1,
+            obs::kDefaultFlightEvents),
       mapping_(std::move(initial_mapping)),
-      rng_(config.seed) {
+      rng_(options_.seed) {
   mapping_.validate(grid_.num_nodes());
   if (mapping_.num_stages() != spec_.num_stages()) {
     throw std::invalid_argument("Executor: mapping/spec stage mismatch");
@@ -54,9 +57,9 @@ Executor::~Executor() {
 
 std::unique_ptr<control::AdaptationController> Executor::make_controller() {
   return std::make_unique<control::AdaptationController>(
-      grid_, profile_, config_.adapt,
+      grid_, profile_, options_.adapt,
       static_cast<control::AdaptationHost&>(*this),
-      control::AdaptationController::Mode::kPolicy, config_.obs);
+      control::AdaptationController::Mode::kPolicy, obs_);
 }
 
 double Executor::virtual_now() const { return core_.virtual_now(); }
@@ -183,21 +186,21 @@ void Executor::worker_loop_impl(grid::NodeId node) {
                     static_cast<std::uint32_t>(task.stage), task.item);
       std::any result = spec_.at(task.stage).fn(std::move(task.payload));
 
-      if (config_.emulate_compute) {
+      if (options_.emulate_compute) {
         const double service_virtual =
             profile_.stage_work[task.stage] / grid_.effective_speed(node, v0);
         std::this_thread::sleep_until(
-            t0 + to_real(service_virtual, config_.time_scale));
+            t0 + to_real(service_virtual, options_.time_scale));
       }
       const double duration_virtual =
           std::chrono::duration<double>(Clock::now() - t0).count() /
-          config_.time_scale;
+          options_.time_scale;
       flight.record(obs::FlightKind::kTaskDone, v0 + duration_virtual,
                     static_cast<std::uint32_t>(task.stage), task.item,
                     std::bit_cast<std::uint64_t>(duration_virtual));
 
       core_.on_service(task.stage, duration_virtual);
-      obs::record_span(config_.obs.tracer, obs::SpanKind::kStage,
+      obs::record_span(obs_.tracer, obs::SpanKind::kStage,
                        spec_.at(task.stage).name.c_str(), v0, duration_virtual,
                        static_cast<std::uint32_t>(1 + node), task.item,
                        static_cast<std::uint32_t>(task.stage));
@@ -251,11 +254,11 @@ void Executor::route_onward(grid::NodeId from, RtTask task) {
   const double vnow = virtual_now();
   const double delay_virtual =
       grid_.transfer_time(from, dst, profile_.msg_bytes[next_stage], vnow);
-  obs::record_span(config_.obs.tracer, obs::SpanKind::kWire, "hop", vnow,
+  obs::record_span(obs_.tracer, obs::SpanKind::kWire, "hop", vnow,
                    delay_virtual, static_cast<std::uint32_t>(1 + dst),
                    task.item, static_cast<std::uint32_t>(next_stage));
   task.stage = next_stage;
-  task.deliver_at = Clock::now() + to_real(delay_virtual, config_.time_scale);
+  task.deliver_at = Clock::now() + to_real(delay_virtual, options_.time_scale);
   NodeWorker& w = *workers_[dst];
   {
     util::MutexLock node_lock(w.mutex);
@@ -265,7 +268,6 @@ void Executor::route_onward(grid::NodeId from, RtTask task) {
 }
 
 void Executor::record_probes(double vnow) {
-  if (!config_.monitor_all) return;
   for (grid::NodeId n = 0; n < grid_.num_nodes(); ++n) {
     const double noise = std::max(0.1, 1.0 + 0.02 * util::normal(rng_, 0, 1));
     controller_->record_observation(
@@ -289,7 +291,7 @@ void Executor::apply_remap(const sched::Mapping& to, double pause_virtual) {
   // same routing -> node order, never the reverse while holding a node).
   util::MutexLock routing_lock(routing_mutex_);
   const auto now = Clock::now();
-  const auto freeze_end = now + to_real(pause_virtual, config_.time_scale);
+  const auto freeze_end = now + to_real(pause_virtual, options_.time_scale);
   freeze_until_.store(freeze_end.time_since_epoch().count(),
                       std::memory_order_release);
 
@@ -335,12 +337,12 @@ void Executor::signal_done() {
 }
 
 void Executor::controller_loop() {
-  if (config_.adapt.epoch <= 0.0) {
+  if (options_.adapt.epoch <= 0.0) {
     // No adaptation: just wait for end-of-stream.
     core_.wait_done();
     return;
   }
-  const auto epoch_real = to_real(config_.adapt.epoch, config_.time_scale);
+  const auto epoch_real = to_real(options_.adapt.epoch, options_.time_scale);
   while (!core_.wait_done_until(Clock::now() + epoch_real)) {
     const control::EpochRecord record = controller_->run_epoch();
     core_.flight(obs::FlightKind::kEpoch, record.time,

@@ -22,7 +22,8 @@
 // keeps the worker queues, routing and the remap freeze. The batch run()
 // entry point is a thin wrapper over one stream. One stream at a time;
 // rt::make_runtime wraps all of this behind the uniform Session
-// interface.
+// interface, and the executor takes the same rt::RuntimeOptions (seed
+// drives its probe noise; the process and sim knobs are ignored).
 
 #include <atomic>
 #include <chrono>
@@ -37,6 +38,7 @@
 #include "core/stream_core.hpp"
 #include "obs/flight.hpp"
 #include "obs/sinks.hpp"
+#include "rt/options.hpp"
 #include "sched/replica_router.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -45,31 +47,13 @@
 
 namespace gridpipe::core {
 
-struct ExecutorConfig {
-  /// Real seconds per virtual second (0.05 = 20× faster than modeled).
-  double time_scale = 0.05;
-  /// Max items in flight (0 = auto: 2·Ns, min 4).
-  std::size_t window = 0;
-  /// Shared control-loop knobs. adapt.epoch = 0 (the live-runtime
-  /// default) disables adaptation.
-  control::AdaptationConfig adapt{.epoch = 0.0};
-  /// Stretch stage execution to the modeled duration. When false the user
-  /// function's real cost is the service time (dedicated-cluster mode).
-  bool emulate_compute = true;
-  /// Record NWS-style probe observations for every node/link each epoch.
-  bool monitor_all = true;
-  std::uint64_t seed = 1;
-  /// Telemetry sinks (both nullable = observability off). The pointed-to
-  /// tracer/registry must outlive the executor.
-  obs::Sinks obs{};
-  /// Flight-recorder ring size per lane (0 disables the forensic ring).
-  std::size_t flight_events = obs::kDefaultFlightEvents;
-};
-
 class Executor : private control::AdaptationHost {
  public:
+  /// Reads time_scale, window, adapt, emulate_compute, obs and seed from
+  /// `options`. Throws std::invalid_argument on a mapping that does not
+  /// fit the grid and spec, or a time_scale that is not finite and > 0.
   Executor(const grid::Grid& grid, PipelineSpec spec,
-           sched::Mapping initial_mapping, ExecutorConfig config);
+           sched::Mapping initial_mapping, const rt::RuntimeOptions& options);
   ~Executor() override;
 
   /// Blocking convenience wrapper over one stream: pushes every input,
@@ -153,7 +137,9 @@ class Executor : private control::AdaptationHost {
   const grid::Grid& grid_;
   PipelineSpec spec_;
   sched::PipelineProfile profile_;
-  ExecutorConfig config_;
+  const rt::RuntimeOptions options_;
+  /// options_.obs as the raw pointers the hot paths branch on.
+  const obs::Sinks obs_;
   /// Stream lifecycle, admission, ordered output, errors, status. Its
   /// flight recorder's lane 1 + n is worker thread n.
   StreamCore<std::any> core_;

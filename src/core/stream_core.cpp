@@ -1,6 +1,7 @@
 #include "core/stream_core.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "obs/trace.hpp"
@@ -18,8 +19,10 @@ StreamCore<Item>::StreamCore(const char* who, std::size_t num_stages,
       time_scale_(time_scale),
       obs_(obs),
       start_(Clock::now()) {
-  if (time_scale_ <= 0.0) {
-    throw std::invalid_argument(std::string(who_) + ": time_scale <= 0");
+  // NaN or inf would reach duration_cast in every emulated sleep.
+  if (!std::isfinite(time_scale_) || time_scale_ <= 0.0) {
+    throw std::invalid_argument(std::string(who_) +
+                                ": time_scale must be finite and > 0");
   }
   obs_metrics_.bind(obs_.metrics);
   try {

@@ -65,7 +65,7 @@ class StreamCore {
   /// `who` prefixes every lifecycle error ("Executor: ..."). window 0 =
   /// auto (2·Ns, min 4). The flight recorder gets `lanes` lanes of
   /// `flight_events` each (0 = off; mmap failure also means off).
-  /// Throws std::invalid_argument when time_scale <= 0.
+  /// Throws std::invalid_argument unless time_scale is finite and > 0.
   StreamCore(const char* who, std::size_t num_stages, std::size_t window,
              double time_scale, obs::Sinks obs, std::size_t lanes,
              std::size_t flight_events);

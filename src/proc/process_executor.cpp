@@ -55,14 +55,15 @@ std::string describe_errno(int err) {
 ProcessExecutor::ProcessExecutor(const grid::Grid& grid,
                                  std::vector<core::DistStage> stages,
                                  sched::Mapping initial_mapping,
-                                 ProcExecutorConfig config)
+                                 const rt::RuntimeOptions& options)
     : grid_(grid),
       stages_(std::move(stages)),
       initial_mapping_(std::move(initial_mapping)),
-      config_(config),
-      core_("ProcessExecutor", stages_.size(), config.window,
-            config.time_scale, config.obs, grid.num_nodes() + 1,
-            config.flight_events) {
+      options_(options),
+      obs_(options_.obs.sinks()),
+      core_("ProcessExecutor", stages_.size(), options_.window,
+            options_.time_scale, obs_, grid.num_nodes() + 1,
+            obs::kDefaultFlightEvents) {
   if (stages_.empty()) {
     throw std::invalid_argument("ProcessExecutor: no stages");
   }
@@ -90,9 +91,9 @@ ProcessExecutor::~ProcessExecutor() {
 std::unique_ptr<control::AdaptationController>
 ProcessExecutor::make_controller() {
   return std::make_unique<control::AdaptationController>(
-      grid_, profile_, config_.adapt,
+      grid_, profile_, options_.adapt,
       static_cast<control::AdaptationHost&>(*this),
-      control::AdaptationController::Mode::kPolicy, config_.obs);
+      control::AdaptationController::Mode::kPolicy, obs_);
 }
 
 sched::PipelineProfile ProcessExecutor::profile() const {
@@ -156,13 +157,13 @@ void ProcessExecutor::spawn_worker(std::size_t node,
     // A respawned worker boots with the routing table as deployed *now*;
     // at initial spawn controller_mapping_ == initial_mapping_.
     ctx.initial_mapping = controller_mapping_;
-    ctx.time_scale = config_.time_scale;
-    ctx.emulate_compute = config_.emulate_compute;
-    ctx.telemetry = config_.obs.any();
+    ctx.time_scale = options_.time_scale;
+    ctx.emulate_compute = options_.emulate_compute;
+    ctx.telemetry = obs_.any();
     ctx.start = core_.start();
     ctx.flight = core_.recorder().ring(1 + node);
-    ctx.health_interval = config_.health_interval;
-    if (config_.recovery.faults.any()) ctx.faults = &config_.recovery.faults;
+    ctx.health_interval = options_.health_interval;
+    if (options_.recovery.faults.any()) ctx.faults = &options_.recovery.faults;
     ctx.incarnation = incarnation;
     if (rings_.valid()) {
       ctx.rings = &rings_;
@@ -198,9 +199,9 @@ void ProcessExecutor::spawn_fleet() {
   // pipes *before* any fork, so every child inherits the same pages and
   // fds. Setup failure (mmap or pipe exhaustion) just disables the fast
   // path — the socket relay carries everything.
-  if (config_.shm_ring) {
+  if (options_.shm_ring) {
     try {
-      rings_ = ShmRingMesh(num_nodes, config_.shm_ring_bytes);
+      rings_ = ShmRingMesh(num_nodes, options_.shm_ring_bytes);
     } catch (const std::runtime_error&) {
       rings_ = ShmRingMesh{};
     }
@@ -362,7 +363,7 @@ void ProcessExecutor::handle_frame(std::size_t source,
     case FrameKind::kTelemetry:
       // Worker-batched spans land on the parent's sinks; the shared
       // steady_clock start means no time-base translation is needed.
-      obs::apply_telemetry(obs::decode_telemetry(frame.payload), config_.obs);
+      obs::apply_telemetry(obs::decode_telemetry(frame.payload), obs_);
       break;
     case FrameKind::kHealth: {
       const obs::HealthRecord record = obs::decode_health(frame.payload);
@@ -380,7 +381,7 @@ void ProcessExecutor::handle_frame(std::size_t source,
 }
 
 void ProcessExecutor::event_loop() {
-  const double epoch = config_.adapt.epoch;
+  const double epoch = options_.adapt.epoch;
   double next_epoch = epoch;
 
   std::vector<pollfd> fds(workers_.size());
@@ -413,7 +414,7 @@ void ProcessExecutor::event_loop() {
     // the cap is what bounds the latency of noticing one.
     double wait_real = 0.05;
     if (epoch > 0.0) {
-      wait_real = std::clamp((next_epoch - virtual_now()) * config_.time_scale,
+      wait_real = std::clamp((next_epoch - virtual_now()) * options_.time_scale,
                              1e-3, 0.05);
     }
     for (std::size_t i = 0; i < workers_.size(); ++i) {
@@ -451,12 +452,12 @@ void ProcessExecutor::event_loop() {
 
     // Stall detection: edge-triggered, so a wedged worker logs once when
     // it trips and once when it recovers, not every poll tick.
-    if (config_.stall_after > 0.0) {
+    if (options_.stall_after > 0.0) {
       const double vnow = virtual_now();
       std::vector<obs::HealthTracker::Transition> edges;
       {
         util::MutexLock lock(status_mutex_);
-        edges = health_.check(vnow, config_.stall_after);
+        edges = health_.check(vnow, options_.stall_after);
       }
       for (const auto& edge : edges) {
         if (edge.stalled) {
@@ -529,9 +530,9 @@ void ProcessExecutor::shutdown_fleet() {
         // Workers flush their final telemetry batch on kShutdown, after
         // the event loop stopped handling frames — apply it here; other
         // stragglers (stray speed observations) are discarded.
-        if (frame->kind == FrameKind::kTelemetry && config_.obs.any()) {
+        if (frame->kind == FrameKind::kTelemetry && obs_.any()) {
           obs::apply_telemetry(obs::decode_telemetry(frame->payload),
-                               config_.obs);
+                               obs_);
         }
       }
     }
@@ -869,7 +870,7 @@ void ProcessExecutor::stream_begin() {
     arrivals_.clear();
   }
   journal_.clear();
-  supervisor_.reset(config_.recovery.respawn, grid_.num_nodes());
+  supervisor_.reset(options_.recovery.respawn, grid_.num_nodes());
   dead_nodes_.clear();
   respawn_at_.assign(grid_.num_nodes(), std::nullopt);
   incarnation_.assign(grid_.num_nodes(), 0);

@@ -37,7 +37,7 @@
 // and stream_finish() rethrows the failure. run() is a batch wrapper
 // over one stream.
 //
-// Fault tolerance (config.recovery.enabled): a worker death no longer
+// Fault tolerance (options.recovery.enabled): a worker death no longer
 // fails the run. Every admitted item is journaled (seq, payload) until
 // its result reaches the ordered output buffer; on a death the parent
 // detaches just the dead worker (reap, close, recycle its queued
@@ -53,6 +53,9 @@
 // node rejoins, the supervisor forks a worker for it and a node-arrival
 // churn epoch lets the mapping grow back — the elastic half of the
 // paper's adaptive grid story.
+//
+// Configuration is the shared rt::RuntimeOptions; this substrate alone
+// reads its shm_ring*, health_interval, stall_after and recovery knobs.
 //
 // fork() constraints: call stream_begin()/run() from a process where no
 // other threads are live (fork only carries the calling thread; a lock
@@ -81,6 +84,7 @@
 #include "proc/transport.hpp"
 #include "recover/journal.hpp"
 #include "recover/supervisor.hpp"
+#include "rt/options.hpp"
 #include "sched/replica_router.hpp"
 #include "util/json.hpp"
 #include "util/sync.hpp"
@@ -90,46 +94,18 @@ namespace gridpipe::proc {
 
 using core::Bytes;
 
-struct ProcExecutorConfig {
-  double time_scale = 0.01;  ///< real seconds per virtual second
-  std::size_t window = 0;    ///< in-flight credit (0 = auto)
-  /// Shared control-loop knobs. adapt.epoch = 0 (the live-runtime
-  /// default) disables adaptation.
-  control::AdaptationConfig adapt{.epoch = 0.0};
-  bool emulate_compute = true;
-  /// Telemetry sinks (both nullable = observability off). Workers buffer
-  /// spans locally and ship them over the socket as kTelemetry frames;
-  /// the sinks themselves are only ever touched in the parent.
-  obs::Sinks obs{};
-  /// Carry worker→worker hops over a shared-memory ring per ordered
-  /// worker pair (mapped before fork) instead of relaying every frame
-  /// through the parent. Any ring that is full — or a mesh that failed
-  /// to map — falls back to the socket relay per frame, so correctness
-  /// never depends on the fast path.
-  bool shm_ring = true;
-  /// Payload capacity of each ring, in bytes.
-  std::size_t shm_ring_bytes = std::size_t{1} << 18;
-  /// Flight-recorder ring capacity per lane (events). The recorder is
-  /// always on; 0 disables it (benchmark baseline only).
-  std::size_t flight_events = obs::kDefaultFlightEvents;
-  /// Virtual seconds between worker heartbeats (<= 0: no heartbeats).
-  double health_interval = 5.0;
-  /// Virtual seconds of silence / no-progress before a worker counts as
-  /// stalled (<= 0: stall detection off).
-  double stall_after = 15.0;
-  /// Fault tolerance: replay journal + output dedup + crash-triggered
-  /// remap + respawn supervision, plus the fault plan injected into
-  /// workers. Default off: a worker death fails the run (the historical
-  /// contract crash-forensics tests rely on).
-  recover::RecoveryOptions recovery{};
-};
-
 class ProcessExecutor : private control::AdaptationHost {
  public:
   /// Stage vector is the same Bytes → Bytes contract the
   /// DistributedExecutor takes, so one scenario drives both substrates.
+  /// Reads time_scale, window, adapt, emulate_compute, obs, shm_ring,
+  /// shm_ring_bytes, health_interval, stall_after and recovery from
+  /// `options`. Throws std::invalid_argument on an empty stage vector, a
+  /// mapping that does not fit, or a time_scale that is not finite and
+  /// > 0 — all before anything forks.
   ProcessExecutor(const grid::Grid& grid, std::vector<core::DistStage> stages,
-                  sched::Mapping initial_mapping, ProcExecutorConfig config);
+                  sched::Mapping initial_mapping,
+                  const rt::RuntimeOptions& options);
   ~ProcessExecutor() override;
 
   /// Blocking convenience wrapper over one stream: forks one worker
@@ -213,7 +189,7 @@ class ProcessExecutor : private control::AdaptationHost {
   [[noreturn]] void fail_run(std::size_t node);
 
   // ---- recovery machinery (controller thread only) ----
-  bool recovery_on() const noexcept { return config_.recovery.enabled; }
+  bool recovery_on() const noexcept { return options_.recovery.enabled; }
   bool worker_up(std::size_t node) const noexcept {
     return node < workers_.size() && workers_[node].sock.valid();
   }
@@ -258,7 +234,11 @@ class ProcessExecutor : private control::AdaptationHost {
   const grid::Grid& grid_;
   std::vector<core::DistStage> stages_;
   sched::Mapping initial_mapping_;
-  ProcExecutorConfig config_;
+  const rt::RuntimeOptions options_;
+  /// options_.obs as raw pointers. Workers buffer spans locally and ship
+  /// them over the socket as kTelemetry frames; the sinks themselves are
+  /// only ever touched in the parent.
+  const obs::Sinks obs_;
   /// Stream lifecycle, admission, ordered output, errors, status. Its
   /// flight recorder (lane 0 = this controller, lane 1 + n = worker n)
   /// is mmap'd MAP_SHARED at construction, before any fork, so the

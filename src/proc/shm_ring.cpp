@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <new>
 #include <stdexcept>
 #include <string>
@@ -126,13 +127,26 @@ bool ShmRing::consumer_closed() const noexcept {
 
 ShmRingMesh::ShmRingMesh(std::size_t nodes, std::size_t ring_capacity) {
   if (nodes == 0) return;
-  // Sub-frame capacities would make every push fall back; keep the ring
-  // able to hold at least one minimal frame so a tiny knob value still
-  // means "a very shallow ring", not "a dead one". (Tests use tiny
-  // capacities deliberately to force the fallback path.)
-  slot_bytes_ = round_up(ShmRing::region_bytes(ring_capacity), kAlign);
+  // The capacity is taken as given: one smaller than a frame is legal
+  // and makes every push fall back to the socket relay (tests use tiny
+  // capacities to force that path). One whose mapping size overflows
+  // size_t is refused like an mmap failure; wrapped around, it would map
+  // a few bytes behind a ring claiming the full capacity.
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  const std::size_t slot =
+      ring_capacity <= kMax - ShmRing::region_bytes(kAlign)
+          ? round_up(ShmRing::region_bytes(ring_capacity), kAlign)
+          : 0;
+  std::size_t mapped = 0;
+  if (slot == 0 || __builtin_mul_overflow(nodes, nodes, &mapped) ||
+      __builtin_mul_overflow(slot, mapped, &mapped)) {
+    throw std::runtime_error("ShmRingMesh: ring capacity " +
+                             std::to_string(ring_capacity) +
+                             " overflows the mapping size");
+  }
+  slot_bytes_ = slot;
   nodes_ = nodes;
-  mapped_bytes_ = slot_bytes_ * nodes * nodes;
+  mapped_bytes_ = mapped;
   void* base = ::mmap(nullptr, mapped_bytes_, PROT_READ | PROT_WRITE,
                       MAP_SHARED | MAP_ANONYMOUS, -1, 0);
   if (base == MAP_FAILED) {

@@ -49,6 +49,22 @@ RuntimeKind parse_runtime_kind(std::string_view name) {
 
 namespace {
 
+/// The checks make_runtime promises up front: every substrate needs a
+/// valid spec, the serialized ones also wire codecs on every stage.
+core::PipelineSpec validated(RuntimeKind kind, core::PipelineSpec spec) {
+  spec.validate();
+  switch (kind) {
+    case RuntimeKind::kSim:
+    case RuntimeKind::kThreads:
+      return spec;
+    case RuntimeKind::kDist:
+    case RuntimeKind::kProcess:
+      spec.validate_for_wire(to_string(kind));
+      return spec;
+  }
+  throw std::invalid_argument("make_runtime: unknown RuntimeKind");
+}
+
 sched::Mapping plan_initial(const grid::Grid& grid,
                             const sched::PipelineProfile& profile,
                             const control::AdaptationConfig& adapt) {
@@ -80,38 +96,6 @@ std::vector<core::DistStage> wire_stages(const core::PipelineSpec& spec) {
   }
   return stages;
 }
-
-// --------------------------------------------------------------- base
-
-class RuntimeBase : public Runtime {
- public:
-  RuntimeBase(RuntimeKind kind, const grid::Grid& grid,
-              core::PipelineSpec spec, RuntimeOptions options)
-      : kind_(kind),
-        grid_(grid),
-        spec_(std::move(spec)),
-        profile_(spec_.to_profile()),
-        options_(std::move(options)),
-        mapping_(options_.initial_mapping
-                     ? *options_.initial_mapping
-                     : plan_initial(grid, profile_, options_.adapt)) {}
-
-  RuntimeKind kind() const noexcept override { return kind_; }
-  const sched::PipelineProfile& profile() const noexcept override {
-    return profile_;
-  }
-  const sched::Mapping& planned_mapping() const noexcept override {
-    return mapping_;
-  }
-
- protected:
-  const RuntimeKind kind_;
-  const grid::Grid& grid_;
-  core::PipelineSpec spec_;
-  sched::PipelineProfile profile_;
-  RuntimeOptions options_;
-  sched::Mapping mapping_;
-};
 
 // ---------------------------------------------------------------- sim
 
@@ -225,20 +209,12 @@ class SimSession final : public Session {
   obs::StatusRegistration status_reg_;
 };
 
-class SimRuntime final : public RuntimeBase {
- public:
-  using RuntimeBase::RuntimeBase;
-  std::unique_ptr<Session> open() override {
-    return std::make_unique<SimSession>(grid_, spec_, options_);
-  }
-};
-
 // ------------------------------------------------------ live sessions
 
 /// Best-effort guard for the process runtime's fork constraint: count of
 /// live-runtime sessions whose internal threads may still be running.
 /// Forking while any are live would copy a possibly-locked allocator or
-/// mutex into the child, so ProcRuntime::open refuses.
+/// mutex into the child, so Runtime::open refuses a process session.
 std::atomic<int> g_live_session_count{0};
 
 struct LiveSessionToken {
@@ -259,6 +235,9 @@ struct AnyBridge {
 /// with the first stage's input codec, decode results with the last
 /// stage's output codec.
 struct CodecBridge {
+  explicit CodecBridge(const core::PipelineSpec& spec)
+      : in(spec.stages().front().in_codec),
+        out(spec.stages().back().out_codec) {}
   core::ItemCodec in;
   core::ItemCodec out;
   core::Bytes encode(const std::any& item) const { return in.encode(item); }
@@ -335,80 +314,6 @@ class ExecSession final : public Session {
   obs::StatusRegistration status_reg_;
 };
 
-class ThreadsRuntime final : public RuntimeBase {
- public:
-  using RuntimeBase::RuntimeBase;
-  std::unique_ptr<Session> open() override {
-    core::ExecutorConfig config;
-    config.time_scale = options_.time_scale;
-    config.window = options_.window;
-    config.adapt = options_.adapt;
-    config.emulate_compute = options_.emulate_compute;
-    config.monitor_all = options_.monitor_all;
-    config.seed = options_.seed;
-    config.obs = options_.obs.sinks();
-    config.flight_events = options_.flight_events;
-    return std::make_unique<ExecSession<core::Executor, AnyBridge>>(
-        "threads",
-        std::make_unique<core::Executor>(grid_, spec_, mapping_, config),
-        AnyBridge{}, options_.obs);
-  }
-};
-
-class DistRuntime final : public RuntimeBase {
- public:
-  using RuntimeBase::RuntimeBase;
-  std::unique_ptr<Session> open() override {
-    core::DistExecutorConfig config;
-    config.time_scale = options_.time_scale;
-    config.window = options_.window;
-    config.adapt = options_.adapt;
-    config.emulate_compute = options_.emulate_compute;
-    config.obs = options_.obs.sinks();
-    config.flight_events = options_.flight_events;
-    return std::make_unique<
-        ExecSession<core::DistributedExecutor, CodecBridge>>(
-        "dist",
-        std::make_unique<core::DistributedExecutor>(grid_, wire_stages(spec_),
-                                                    mapping_, config),
-        CodecBridge{spec_.stages().front().in_codec,
-                    spec_.stages().back().out_codec},
-        options_.obs);
-  }
-};
-
-class ProcRuntime final : public RuntimeBase {
- public:
-  using RuntimeBase::RuntimeBase;
-  std::unique_ptr<Session> open() override {
-    if (g_live_session_count.load() > 0) {
-      throw std::logic_error(
-          "rt: refusing to open a process session while another live "
-          "session's threads are running — fork would copy their locks "
-          "into the child; report() or destroy the other session first");
-    }
-    proc::ProcExecutorConfig config;
-    config.time_scale = options_.time_scale;
-    config.window = options_.window;
-    config.adapt = options_.adapt;
-    config.emulate_compute = options_.emulate_compute;
-    config.obs = options_.obs.sinks();
-    config.shm_ring = options_.shm_ring;
-    config.shm_ring_bytes = options_.shm_ring_bytes;
-    config.flight_events = options_.flight_events;
-    config.health_interval = options_.health_interval;
-    config.stall_after = options_.stall_after;
-    config.recovery = options_.recovery;
-    return std::make_unique<ExecSession<proc::ProcessExecutor, CodecBridge>>(
-        "process",
-        std::make_unique<proc::ProcessExecutor>(grid_, wire_stages(spec_),
-                                                mapping_, config),
-        CodecBridge{spec_.stages().front().in_codec,
-                    spec_.stages().back().out_codec},
-        options_.obs);
-  }
-};
-
 }  // namespace
 
 // ------------------------------------------------------------- runtime
@@ -424,28 +329,55 @@ core::RunReport Runtime::run(std::vector<std::any> items) {
   return report;
 }
 
+Runtime::Runtime(RuntimeKind kind, const grid::Grid& grid,
+                 core::PipelineSpec spec, RuntimeOptions options)
+    : kind_(kind),
+      grid_(grid),
+      spec_(validated(kind, std::move(spec))),
+      profile_(spec_.to_profile()),
+      options_(std::move(options)),
+      mapping_(options_.initial_mapping
+                   ? *options_.initial_mapping
+                   : plan_initial(grid, profile_, options_.adapt)) {}
+
+std::unique_ptr<Session> Runtime::open() {
+  switch (kind_) {
+    case RuntimeKind::kSim:
+      return std::make_unique<SimSession>(grid_, spec_, options_);
+    case RuntimeKind::kThreads:
+      return std::make_unique<ExecSession<core::Executor, AnyBridge>>(
+          "threads",
+          std::make_unique<core::Executor>(grid_, spec_, mapping_, options_),
+          AnyBridge{}, options_.obs);
+    case RuntimeKind::kDist:
+      return std::make_unique<
+          ExecSession<core::DistributedExecutor, CodecBridge>>(
+          "dist",
+          std::make_unique<core::DistributedExecutor>(
+              grid_, wire_stages(spec_), mapping_, options_),
+          CodecBridge(spec_), options_.obs);
+    case RuntimeKind::kProcess:
+      if (g_live_session_count.load() > 0) {
+        throw std::logic_error(
+            "rt: refusing to open a process session while another live "
+            "session's threads are running — fork would copy their locks "
+            "into the child; report() or destroy the other session first");
+      }
+      return std::make_unique<ExecSession<proc::ProcessExecutor, CodecBridge>>(
+          "process",
+          std::make_unique<proc::ProcessExecutor>(grid_, wire_stages(spec_),
+                                                  mapping_, options_),
+          CodecBridge(spec_), options_.obs);
+  }
+  throw std::logic_error("rt: unknown RuntimeKind");
+}
+
 std::unique_ptr<Runtime> make_runtime(RuntimeKind kind,
                                       const grid::Grid& grid,
                                       core::PipelineSpec spec,
                                       RuntimeOptions options) {
-  spec.validate();
-  switch (kind) {
-    case RuntimeKind::kSim:
-      return std::make_unique<SimRuntime>(kind, grid, std::move(spec),
-                                          std::move(options));
-    case RuntimeKind::kThreads:
-      return std::make_unique<ThreadsRuntime>(kind, grid, std::move(spec),
-                                              std::move(options));
-    case RuntimeKind::kDist:
-      spec.validate_for_wire(to_string(kind));
-      return std::make_unique<DistRuntime>(kind, grid, std::move(spec),
-                                           std::move(options));
-    case RuntimeKind::kProcess:
-      spec.validate_for_wire(to_string(kind));
-      return std::make_unique<ProcRuntime>(kind, grid, std::move(spec),
-                                           std::move(options));
-  }
-  throw std::invalid_argument("make_runtime: unknown RuntimeKind");
+  return std::make_unique<Runtime>(kind, grid, std::move(spec),
+                                   std::move(options));
 }
 
 }  // namespace gridpipe::rt

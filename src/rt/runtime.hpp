@@ -41,14 +41,10 @@
 #include <optional>
 #include <string_view>
 
-#include "control/adaptation_config.hpp"
 #include "core/pipeline_spec.hpp"
 #include "core/report.hpp"
 #include "grid/grid.hpp"
-#include "obs/config.hpp"
-#include "obs/flight.hpp"
-#include "recover/supervisor.hpp"
-#include "sim/drivers.hpp"
+#include "rt/options.hpp"
 #include "util/json.hpp"
 
 namespace gridpipe::rt {
@@ -74,61 +70,6 @@ std::optional<RuntimeKind> try_parse_runtime_kind(std::string_view name);
 /// Inverse of to_string; throws std::invalid_argument listing the valid
 /// names on unknown input.
 RuntimeKind parse_runtime_kind(std::string_view name);
-
-struct RuntimeOptions {
-  /// Real seconds per virtual second on the live runtimes (the simulator
-  /// runs in pure virtual time and ignores it).
-  double time_scale = 0.01;
-  /// Max items in flight (0 = auto: 2·Ns, min 4).
-  std::size_t window = 0;
-  /// Shared control-loop knobs; adapt.epoch = 0 disables adaptation on
-  /// every substrate.
-  control::AdaptationConfig adapt{.epoch = 0.0};
-  /// Stretch stage execution to the modeled duration (live runtimes).
-  bool emulate_compute = true;
-  /// Threads runtime: record NWS-style probes each epoch.
-  bool monitor_all = true;
-  /// Probe-noise RNG seed on the threads runtime.
-  std::uint64_t seed = 1;
-  /// Process runtime: carry worker→worker hops over a shared-memory
-  /// ring per ordered worker pair instead of relaying through the
-  /// parent's sockets. Falls back to the socket path per frame whenever
-  /// a ring is full (or could not be mapped), so correctness never
-  /// depends on it.
-  bool shm_ring = true;
-  /// Process runtime: payload capacity of each ring, in bytes.
-  std::size_t shm_ring_bytes = std::size_t{1} << 18;
-  /// Deployment-time mapping override. Unset: the planner's t = 0 pick
-  /// (control::choose_mapping with `adapt`'s mapper knobs). The sim
-  /// runtime plans per its driver and ignores an override.
-  std::optional<sched::Mapping> initial_mapping;
-  /// Telemetry sinks (default: disabled, near-zero overhead). Set via
-  /// obs::Config::full() to collect per-item spans and uniform metrics;
-  /// the sinks are shared across every session this runtime opens, and
-  /// Session::report() snapshots the registry into RunReport::obs_metrics.
-  obs::Config obs{};
-  /// Flight-recorder ring size per lane on the live runtimes: the
-  /// always-on forensic event ring every crash error quotes (0 = off).
-  std::size_t flight_events = obs::kDefaultFlightEvents;
-  /// Process runtime: virtual seconds between child heartbeat records
-  /// (0 disables heartbeats and stall detection).
-  double health_interval = 5.0;
-  /// Process runtime: a worker silent (or heartbeating without progress)
-  /// for this much virtual time is flagged stalled.
-  double stall_after = 15.0;
-  /// Process runtime: fault tolerance (replay journal, output dedup,
-  /// crash-triggered remap, respawn supervision) plus the fault plan to
-  /// inject into workers. Off by default: a worker death fails the run.
-  recover::RecoveryOptions recovery{};
-
-  // --- simulator-only knobs -------------------------------------------
-  /// Which experiment driver the sim session replays the stream under.
-  /// kAdaptive/kOracle fall back to kStaticOptimal when adapt.epoch = 0.
-  sim::DriverKind sim_driver = sim::DriverKind::kAdaptive;
-  /// Arrival process, probe schedule, service model, sim seed.
-  /// num_items and window are overridden per session.
-  sim::SimConfig sim_config{};
-};
 
 /// A live stream through one substrate. push() accepts items any time
 /// before close(); try_pop() hands outputs back in input order
@@ -162,17 +103,28 @@ class Session {
 /// convenience wrapper over a single session.
 class Runtime {
  public:
-  virtual ~Runtime() = default;
+  /// Validates the spec (and its wire codecs for the serialized
+  /// runtimes) and plans the t = 0 mapping; make_runtime wraps this.
+  Runtime(RuntimeKind kind, const grid::Grid& grid, core::PipelineSpec spec,
+          RuntimeOptions options);
 
-  virtual RuntimeKind kind() const noexcept = 0;
-  virtual const sched::PipelineProfile& profile() const noexcept = 0;
+  RuntimeKind kind() const noexcept { return kind_; }
+  const sched::PipelineProfile& profile() const noexcept { return profile_; }
   /// The deployment-time (t = 0) mapping sessions start from.
-  virtual const sched::Mapping& planned_mapping() const noexcept = 0;
-  virtual std::unique_ptr<Session> open() = 0;
+  const sched::Mapping& planned_mapping() const noexcept { return mapping_; }
+  std::unique_ptr<Session> open();
 
   /// Pushes every item through one session and returns the report with
   /// ordered outputs filled in. Blocking.
   core::RunReport run(std::vector<std::any> items);
+
+ private:
+  RuntimeKind kind_;
+  const grid::Grid& grid_;
+  core::PipelineSpec spec_;
+  sched::PipelineProfile profile_;
+  RuntimeOptions options_;
+  sched::Mapping mapping_;
 };
 
 /// The factory: one spec, any substrate. Validates the spec up front

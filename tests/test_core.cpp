@@ -73,8 +73,8 @@ TEST(PipelineSpec, RejectsBadStages) {
 
 // ------------------------------------------------------------ executor
 
-ExecutorConfig fast_config() {
-  ExecutorConfig config;
+rt::RuntimeOptions fast_config() {
+  rt::RuntimeOptions config;
   config.time_scale = 0.002;  // 500x faster than modeled time
   return config;
 }
@@ -111,7 +111,7 @@ TEST(Executor, HeterogeneityEmulationSlowsThroughput) {
   // Same pipeline on a fast vs slow node: emulated service stretches.
   const auto run_with_speed = [&](double speed) {
     const auto g = grid::uniform_cluster(1, speed, 1e-3, 1e8);
-    ExecutorConfig config;
+    rt::RuntimeOptions config;
     config.time_scale = 0.01;
     Executor executor(g, arithmetic_spec(),
                       sched::Mapping::all_on(3, 0), config);
@@ -129,7 +129,7 @@ TEST(Executor, ThroughputTracksModelPrediction) {
   const auto g = grid::uniform_cluster(3, 1.0, 1e-3, 1e8);
   const PipelineSpec spec = arithmetic_spec();
   const sched::Mapping m(std::vector<NodeId>{0, 1, 2});
-  ExecutorConfig config;
+  rt::RuntimeOptions config;
   config.time_scale = 0.01;
   Executor executor(g, spec, m, config);
   const auto report = executor.run(int_items(60));
@@ -148,7 +148,7 @@ TEST(Executor, AdaptsAwayFromLoadedNode) {
   auto g = grid::uniform_cluster(3, 1.0, 1e-3, 1e8);
   grid::set_node_load(g, 1, std::make_shared<grid::ConstantLoad>(9.0));
 
-  ExecutorConfig config;
+  rt::RuntimeOptions config;
   config.time_scale = 0.002;
   config.adapt.epoch = 4.0;  // virtual seconds
   config.adapt.policy.hysteresis_epochs = 1;
@@ -178,7 +178,7 @@ TEST(Executor, OnChangeTriggerSkipsQuietEpochs) {
   // generous threshold keeps sleep-quantization noise in the observed
   // speeds from tripping the gate.
   const auto g = grid::uniform_cluster(3, 1.0, 1e-3, 1e8);
-  ExecutorConfig config;
+  rt::RuntimeOptions config;
   config.time_scale = 0.01;
   config.adapt.epoch = 2.0;  // virtual seconds
   config.adapt.trigger = control::AdaptationTrigger::kOnChange;
@@ -206,7 +206,7 @@ TEST(Executor, OnChangeTriggerReactsToLoadStep) {
                                 std::vector<grid::StepLoad::Step>{
                                     {4.0, 9.0}}));
 
-  ExecutorConfig config;
+  rt::RuntimeOptions config;
   config.time_scale = 0.01;
   config.adapt.epoch = 2.0;
   config.adapt.trigger = control::AdaptationTrigger::kOnChange;
@@ -234,7 +234,7 @@ TEST(Executor, FreshAdaptationStateOnEachRun) {
   // inherit the first run's gate snapshot / staleness clock (which would
   // silently disable kOnChange adaptation for the whole second run).
   const auto g = grid::uniform_cluster(2, 1.0, 1e-3, 1e8);
-  ExecutorConfig config;
+  rt::RuntimeOptions config;
   config.time_scale = 0.005;
   config.adapt.epoch = 2.0;
   config.adapt.trigger = control::AdaptationTrigger::kOnChange;
@@ -253,7 +253,7 @@ TEST(Executor, FreshAdaptationStateOnEachRun) {
 
 TEST(Executor, RejectsBadConfig) {
   const auto g = grid::uniform_cluster(2, 1.0, 1e-3, 1e8);
-  ExecutorConfig config;
+  rt::RuntimeOptions config;
   config.time_scale = 0.0;
   EXPECT_THROW(Executor(g, arithmetic_spec(),
                         sched::Mapping(std::vector<NodeId>{0, 1, 0}), config),

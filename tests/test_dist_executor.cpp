@@ -52,8 +52,8 @@ std::vector<DistStage> arithmetic_stages() {
 
 // ---------------------------------------------------------- end to end
 
-DistExecutorConfig fast_dist_config() {
-  DistExecutorConfig config;
+rt::RuntimeOptions fast_dist_config() {
+  rt::RuntimeOptions config;
   config.time_scale = 0.002;
   return config;
 }
@@ -102,7 +102,7 @@ TEST(DistributedExecutor, ColocatedMappingWorks) {
 // pay its 1 virtual s latency, while loopback hops cost almost nothing.
 TEST(DistributedExecutor, CrossNodeHopsPayTheLinkLatency) {
   const auto g = grid::uniform_cluster(2, 1.0, /*latency=*/1.0, 1e9);
-  DistExecutorConfig config;
+  rt::RuntimeOptions config;
   config.time_scale = 0.05;
   config.emulate_compute = false;
   const auto latency_of = [&](std::vector<NodeId> nodes) {
@@ -121,7 +121,7 @@ TEST(DistributedExecutor, CrossNodeHopsPayTheLinkLatency) {
 TEST(DistributedExecutor, HeterogeneityChangesThroughput) {
   auto run_with = [&](double speed) {
     const auto g = grid::uniform_cluster(2, speed, 1e-3, 1e8);
-    DistExecutorConfig config;
+    rt::RuntimeOptions config;
     config.time_scale = 0.01;
     DistributedExecutor executor(g, arithmetic_stages(),
                                  sched::Mapping(std::vector<NodeId>{0, 1, 0}),
@@ -139,7 +139,7 @@ TEST(DistributedExecutor, AdaptsAwayFromLoadedNode) {
   auto g = grid::uniform_cluster(3, 1.0, 1e-3, 1e8);
   grid::set_node_load(g, 1, std::make_shared<grid::ConstantLoad>(9.0));
 
-  DistExecutorConfig config;
+  rt::RuntimeOptions config;
   config.time_scale = 0.002;
   config.adapt.epoch = 4.0;
   config.adapt.policy.hysteresis_epochs = 1;
@@ -169,7 +169,7 @@ TEST(DistributedExecutor, OnChangeTriggerSkipsQuietEpochs) {
   // Same contract as the threaded runtime: on a stable grid the change
   // gate swallows the mapping search after the first decision.
   const auto g = grid::uniform_cluster(3, 1.0, 1e-3, 1e8);
-  DistExecutorConfig config;
+  rt::RuntimeOptions config;
   config.time_scale = 0.01;
   config.adapt.epoch = 2.0;
   config.adapt.trigger = control::AdaptationTrigger::kOnChange;
@@ -197,7 +197,7 @@ TEST(DistributedExecutor, OnChangeTriggerReactsToLoadStep) {
                                 std::vector<grid::StepLoad::Step>{
                                     {4.0, 9.0}}));
 
-  DistExecutorConfig config;
+  rt::RuntimeOptions config;
   config.time_scale = 0.01;
   config.adapt.epoch = 2.0;
   config.adapt.trigger = control::AdaptationTrigger::kOnChange;
@@ -237,7 +237,7 @@ TEST(DistributedExecutor, RejectsBadConstruction) {
                    sched::Mapping(std::vector<NodeId>{0, 1}),  // 2 != 3
                    fast_dist_config()),
                std::invalid_argument);
-  DistExecutorConfig bad;
+  rt::RuntimeOptions bad;
   bad.time_scale = 0.0;
   EXPECT_THROW(DistributedExecutor(g, arithmetic_stages(),
                                    sched::Mapping::all_on(3, 0), bad),

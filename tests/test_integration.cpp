@@ -164,7 +164,7 @@ TEST(DesVsThreads, ThroughputAgreesWithinBand) {
   const double des_throughput = des.metrics().mean_throughput();
 
   // Threaded run of the same configuration.
-  core::ExecutorConfig exec_config;
+  rt::RuntimeOptions exec_config;
   exec_config.time_scale = 0.005;
   core::Executor executor(g, std::move(spec), mapping, exec_config);
   std::vector<std::any> inputs;

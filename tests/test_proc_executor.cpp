@@ -170,8 +170,8 @@ TEST(ProcWire, MappingWithAbsurdCountsRejected) {
 
 // ---------------------------------------------------------- end to end
 
-ProcExecutorConfig fast_proc_config() {
-  ProcExecutorConfig config;
+rt::RuntimeOptions fast_proc_config() {
+  rt::RuntimeOptions config;
   config.time_scale = 0.002;
   return config;
 }
@@ -322,12 +322,12 @@ TEST(ProcessExecutor, WedgedWorkerTripsStallDetection) {
     }
     append_int(out, int_of_bytes(in) * 3);
   };
-  obs::MetricsRegistry metrics;
-  ProcExecutorConfig config;
+  rt::RuntimeOptions config;
   config.time_scale = 0.002;
   config.health_interval = 1.0;
   config.stall_after = 10.0;
-  config.obs.metrics = &metrics;
+  config.obs.metrics = std::make_shared<obs::MetricsRegistry>();
+  obs::MetricsRegistry& metrics = *config.obs.metrics;
   ProcessExecutor executor(g, std::move(stages),
                            sched::Mapping(std::vector<NodeId>{0, 1, 0}),
                            config);
@@ -341,7 +341,7 @@ TEST(ProcessExecutor, WedgedWorkerTripsStallDetection) {
 
 TEST(ProcessExecutor, StatusSnapshotIsWellFormedMidStream) {
   const auto g = grid::uniform_cluster(2, 1.0, 1e-3, 1e8);
-  ProcExecutorConfig config = fast_proc_config();
+  rt::RuntimeOptions config = fast_proc_config();
   config.health_interval = 0.5;
   ProcessExecutor executor(g, arithmetic_stages(),
                            sched::Mapping(std::vector<NodeId>{0, 1, 0}),
@@ -372,7 +372,7 @@ TEST(ProcessExecutor, RejectsBadConstruction) {
                    sched::Mapping(std::vector<NodeId>{0, 1}),  // 2 != 3
                    fast_proc_config()),
                std::invalid_argument);
-  ProcExecutorConfig bad;
+  rt::RuntimeOptions bad;
   bad.time_scale = 0.0;
   EXPECT_THROW(ProcessExecutor(g, arithmetic_stages(),
                                sched::Mapping::all_on(3, 0), bad),
@@ -395,7 +395,7 @@ TEST(ProcessExecutor, AdaptsAwayFromLoadedNode) {
   auto g = grid::uniform_cluster(3, 1.0, 1e-3, 1e8);
   grid::set_node_load(g, 1, std::make_shared<grid::ConstantLoad>(9.0));
 
-  ProcExecutorConfig config;
+  rt::RuntimeOptions config;
   config.time_scale = 0.002;
   config.adapt.epoch = 4.0;
   config.adapt.policy.hysteresis_epochs = 1;
@@ -426,7 +426,7 @@ TEST(ProcessExecutor, OnChangeTriggerSkipsQuietEpochs) {
   // stable grid the change gate swallows the mapping search after the
   // first decision.
   const auto g = grid::uniform_cluster(3, 1.0, 1e-3, 1e8);
-  ProcExecutorConfig config;
+  rt::RuntimeOptions config;
   config.time_scale = 0.01;
   config.adapt.epoch = 2.0;
   config.adapt.trigger = control::AdaptationTrigger::kOnChange;
@@ -454,7 +454,7 @@ TEST(ProcessExecutor, OnChangeTriggerReactsToLoadStep) {
                                 std::vector<grid::StepLoad::Step>{
                                     {4.0, 9.0}}));
 
-  ProcExecutorConfig config;
+  rt::RuntimeOptions config;
   config.time_scale = 0.01;
   config.adapt.epoch = 2.0;
   config.adapt.trigger = control::AdaptationTrigger::kOnChange;
@@ -489,7 +489,7 @@ TEST(ProcessExecutor, OnChangeTriggerReactsToLoadStep) {
 
 TEST(ProcessExecutor, RingDisabledStillCorrect) {
   const auto g = grid::uniform_cluster(3, 1.0, 1e-3, 1e8);
-  ProcExecutorConfig config = fast_proc_config();
+  rt::RuntimeOptions config = fast_proc_config();
   config.shm_ring = false;  // pure socket-relay mode
   ProcessExecutor executor(g, arithmetic_stages(),
                            sched::Mapping(std::vector<NodeId>{0, 1, 2}),
@@ -509,7 +509,7 @@ TEST(ProcessExecutor, TinyRingFallsBackToSocketPerFrame) {
   // A ring too small for even one frame forces the fallback branch on
   // every single hop — the stream must still be complete and ordered.
   const auto g = grid::uniform_cluster(3, 1.0, 1e-3, 1e8);
-  ProcExecutorConfig config = fast_proc_config();
+  rt::RuntimeOptions config = fast_proc_config();
   config.shm_ring_bytes = 8;  // < one frame: every push fails
   ProcessExecutor executor(g, arithmetic_stages(),
                            sched::Mapping(std::vector<NodeId>{0, 1, 2}),
@@ -550,7 +550,7 @@ TEST(ProcessExecutor, RingEnabledOutputsMatchDistGolden) {
   std::vector<Bytes> inputs;
   for (int i = 0; i < 50; ++i) inputs.push_back(bytes_of_int(i));
 
-  core::DistExecutorConfig dist_config;
+  rt::RuntimeOptions dist_config;
   dist_config.time_scale = 0.002;
   core::DistributedExecutor dist(g, arithmetic_stages(), mapping,
                                  dist_config);
@@ -587,14 +587,14 @@ TEST(ProcessExecutor, QuietScenarioDecisionParityWithDist) {
   std::vector<Bytes> inputs;
   for (int i = 0; i < 300; ++i) inputs.push_back(bytes_of_int(i));
 
-  core::DistExecutorConfig dist_config;
+  rt::RuntimeOptions dist_config;
   dist_config.time_scale = 0.01;
   dist_config.adapt = adapt;
   core::DistributedExecutor dist(g, arithmetic_stages(), mapping,
                                  dist_config);
   const auto dist_report = dist.run(inputs);
 
-  ProcExecutorConfig proc_config;
+  rt::RuntimeOptions proc_config;
   proc_config.time_scale = 0.01;
   proc_config.adapt = adapt;
   ProcessExecutor proc(g, arithmetic_stages(), mapping, proc_config);

@@ -274,8 +274,8 @@ std::vector<core::DistStage> arithmetic_stages(double last_stage_work = 0.02) {
   return stages;
 }
 
-proc::ProcExecutorConfig recovering_config() {
-  proc::ProcExecutorConfig config;
+rt::RuntimeOptions recovering_config() {
+  rt::RuntimeOptions config;
   config.time_scale = 0.002;
   config.recovery.enabled = true;
   return config;
@@ -294,7 +294,7 @@ void expect_golden(const core::RunReport& report, int n) {
 
 TEST(RecoverIntegration, RespawnRecoversSigkilledWorker) {
   const auto g = grid::uniform_cluster(3, 1.0, 1e-3, 1e8);
-  proc::ProcExecutorConfig config = recovering_config();
+  rt::RuntimeOptions config = recovering_config();
   config.recovery.faults.kills = {{/*node=*/1, /*item=*/7}};
   proc::ProcessExecutor executor(g, arithmetic_stages(),
                                  sched::Mapping(std::vector<NodeId>{0, 1, 2}),
@@ -325,7 +325,7 @@ TEST(RecoverIntegration, SigkillMidStreamMatchesGoldenOutput) {
   for (const auto& point : points) {
     SCOPED_TRACE("kill node " + std::to_string(point.node) + " at item " +
                  std::to_string(point.item));
-    proc::ProcExecutorConfig config = recovering_config();
+    rt::RuntimeOptions config = recovering_config();
     config.recovery.faults.kills = {point};
     proc::ProcessExecutor executor(g, arithmetic_stages(),
                                    sched::Mapping(std::vector<NodeId>{0, 1, 2}),
@@ -380,7 +380,7 @@ TEST(RecoverIntegration, RespawnedWorkerReusesFlightLane) {
   // events from the new incarnation — one forensic timeline per node,
   // not per pid.
   const auto g = grid::uniform_cluster(3, 1.0, 1e-3, 1e8);
-  proc::ProcExecutorConfig config = recovering_config();
+  rt::RuntimeOptions config = recovering_config();
   config.recovery.faults.kills = {{/*node=*/1, /*item=*/7}};
   proc::ProcessExecutor executor(g, arithmetic_stages(),
                                  sched::Mapping(std::vector<NodeId>{0, 1, 2}),
@@ -406,7 +406,7 @@ TEST(RecoverIntegration, DuplicateDeliveriesAreDeduped) {
   // through the survivors *and* get replayed from stage 0, so the
   // replay's delivery is a forced duplicate the output buffer must drop.
   const auto g = grid::uniform_cluster(3, 1.0, 1e-3, 1e8);
-  proc::ProcExecutorConfig config = recovering_config();
+  rt::RuntimeOptions config = recovering_config();
   config.time_scale = 0.01;
   config.recovery.faults.kills = {{/*node=*/1, /*item=*/10}};
   proc::ProcessExecutor executor(g, arithmetic_stages(/*last_stage_work=*/0.3),
@@ -426,7 +426,7 @@ TEST(RecoverIntegration, DuplicateDeliveriesAreDeduped) {
 
 TEST(RecoverIntegration, DegradeRemapsAroundDeadNode) {
   const auto g = grid::uniform_cluster(3, 1.0, 1e-3, 1e8);
-  proc::ProcExecutorConfig config = recovering_config();
+  rt::RuntimeOptions config = recovering_config();
   config.recovery.respawn.max_respawns = 0;  // degrade on first death
   config.recovery.faults.kills = {{/*node=*/2, /*item=*/5}};
   proc::ProcessExecutor executor(g, arithmetic_stages(),
@@ -450,7 +450,7 @@ TEST(RecoverIntegration, NodeArrivalRejoinsDegradedNode) {
   // supervisor forks a fresh worker, the controller runs a node-arrival
   // churn epoch, and the stream finishes with golden output.
   const auto g = grid::uniform_cluster(3, 1.0, 1e-3, 1e8);
-  proc::ProcExecutorConfig config = recovering_config();
+  rt::RuntimeOptions config = recovering_config();
   config.recovery.respawn.max_respawns = 0;
   config.recovery.faults.kills = {{/*node=*/1, /*item=*/5}};
   proc::ProcessExecutor executor(g, arithmetic_stages(),
@@ -489,7 +489,7 @@ TEST(RecoverIntegration, ArrivalRequestsAreValidated) {
   const auto g = grid::uniform_cluster(2, 1.0, 1e-3, 1e8);
   proc::ProcessExecutor off(g, arithmetic_stages(),
                             sched::Mapping(std::vector<NodeId>{0, 1, 0}),
-                            proc::ProcExecutorConfig{.time_scale = 0.002});
+                            rt::RuntimeOptions{.time_scale = 0.002});
   EXPECT_THROW(off.request_arrival(0), std::logic_error);
 
   proc::ProcessExecutor on(g, arithmetic_stages(),
@@ -535,7 +535,7 @@ TEST(RecoverIntegration, RuntimeOptionsCarryRecoveryThroughSessions) {
 // worker death still fails the run with the crash-forensics error.
 TEST(RecoverIntegration, RecoveryOffStillFailsOnCrash) {
   const auto g = grid::uniform_cluster(3, 1.0, 1e-3, 1e8);
-  proc::ProcExecutorConfig config;
+  rt::RuntimeOptions config;
   config.time_scale = 0.002;
   config.recovery.enabled = false;
   config.recovery.faults.kills = {{/*node=*/1, /*item=*/7}};

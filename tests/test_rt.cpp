@@ -10,6 +10,7 @@
 
 #include <chrono>
 #include <future>
+#include <limits>
 #include <memory>
 #include <thread>
 
@@ -286,6 +287,24 @@ TEST(Session, EmptyStreamReportsZeroItems) {
     session->close();
     EXPECT_EQ(session->report().items, 0u) << to_string(kind);
     EXPECT_FALSE(session->try_pop().has_value()) << to_string(kind);
+  }
+}
+
+TEST(RtOptions, InvalidTimeScaleRejectedOnEveryLiveSubstrate) {
+  // Every live executor scales emulated sleeps by time_scale; NaN or inf
+  // would reach duration_cast. The executor constructor rejects it, so
+  // open() throws before a session starts (and, on process, forks).
+  const auto g = grid::uniform_cluster(2, 1.0, 1e-3, 1e8);
+  for (RuntimeKind kind :
+       {RuntimeKind::kThreads, RuntimeKind::kDist, RuntimeKind::kProcess}) {
+    for (double bad : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity()}) {
+      RuntimeOptions options;
+      options.time_scale = bad;
+      auto runtime = make_runtime(kind, g, typed_spec(), options);
+      EXPECT_THROW(runtime->open(), std::invalid_argument)
+          << to_string(kind) << " time_scale " << bad;
+    }
   }
 }
 

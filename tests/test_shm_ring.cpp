@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -246,6 +248,20 @@ TEST(ShmRingMesh, MoveTransfersOwnership) {
   EXPECT_EQ(b.ring(0, 1).pop(out, sizeof(out)), 3u);
   b = ShmRingMesh{};
   EXPECT_FALSE(b.valid());
+}
+
+TEST(ShmRingMesh, OverflowingCapacityIsRefusedLikeAnMmapFailure) {
+  // Wrapped around, the slot or mesh size would map a few bytes behind a
+  // ring claiming the whole capacity, and a large push would write past
+  // the mapping. It must throw the same runtime_error an mmap failure
+  // does, so the process runtime falls back to sockets.
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  EXPECT_THROW(ShmRingMesh(2, kMax - 10), std::runtime_error);  // slot
+  EXPECT_THROW(ShmRingMesh(2, kMax / 2), std::runtime_error);   // 4 slots
+  // A sub-frame capacity stays legal: a valid mesh whose pushes fall back.
+  ShmRingMesh tiny(2, 8);
+  ASSERT_TRUE(tiny.valid());
+  EXPECT_FALSE(tiny.ring(0, 1).push(pattern_bytes(16, 1)));
 }
 
 TEST(ShmRingMesh, CrossProcessPushPopThroughFork) {

@@ -2,11 +2,12 @@
 # Tier-1 gate: header self-containment check → configure → build
 # (warnings are errors) → ctest, then a ThreadSanitizer pass over the
 # concurrency-heavy suites (test_core, test_dist_executor,
-# test_integration, test_comm, test_shm_ring) and an ASan+UBSan pass
-# over the fork/socket-heavy ones (test_proc_executor, test_comm,
-# test_dist_executor, test_shm_ring) — lifetime bugs live where
-# processes, shared mappings and fds do. When a clang++ is available two
-# static-analysis stages follow: a clang build with
+# test_integration, test_comm, test_shm_ring, test_flight,
+# test_stream_core) and an ASan+UBSan pass over the fork/socket-heavy
+# ones (test_proc_executor, test_comm, test_dist_executor,
+# test_shm_ring, test_flight, test_recover, test_stream_core) — lifetime
+# bugs live where processes, shared mappings and fds do. When a clang++
+# is available two static-analysis stages follow: a clang build with
 # -Wthread-safety -Werror (the annotation gate) and clang-tidy over
 # src/ (curated checks from .clang-tidy, warnings are errors). Mirrors
 # the one-command verify line in README.md, with -Werror added so the

@@ -29,11 +29,16 @@ echo "== EXP-F2 (adaptation + substrate overhead) =="
 
 echo "== EXP-M1 (microbenchmarks) =="
 # benchmark_repetitions kept low: the baseline tracks orders of
-# magnitude across commits, not single-digit percents.
+# magnitude across commits, not single-digit percents. The context's
+# library_build_type describes the installed google-benchmark library;
+# gridpipe's own build type and compiler are added beside it.
 "$BUILD_DIR"/bench/bench_m1_micro \
   --benchmark_out="$OUT_DIR/BENCH_M1.json" \
   --benchmark_out_format=json \
-  --benchmark_min_time=0.05
+  --benchmark_min_time=0.05 \
+  --benchmark_context="gridpipe_build_type=$(
+    sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' "$BUILD_DIR/CMakeCache.txt"),compiler=$(
+    "${CXX:-c++}" -dumpfullversion 2>/dev/null || echo unknown)"
 
 echo "== EXP-R1 (fault-tolerance cost) =="
 "$BUILD_DIR"/bench/bench_r1_recovery --json "$OUT_DIR/BENCH_R1.json"

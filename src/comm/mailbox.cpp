@@ -17,6 +17,12 @@ void Mailbox::post(Message message) {
   posted_.notify_all();
 }
 
+void Mailbox::wake() {
+  util::MutexLock lock(mutex_);
+  woken_ = true;
+  posted_.notify_all();
+}
+
 std::vector<Message> Mailbox::take(std::size_t max_n,
                                    Clock::time_point deadline) {
   std::vector<Message> out;
@@ -43,8 +49,12 @@ std::vector<Message> Mailbox::take(std::size_t max_n,
       out.push_back(std::move(next->front().msg));
       next->pop_front();
     }
-    if (!out.empty() || max_n == 0 || now >= deadline) return out;
-    // Sleep until a post, the earliest pending delivery, or the deadline.
+    if (!out.empty() || woken_ || max_n == 0 || now >= deadline) {
+      woken_ = false;
+      return out;
+    }
+    // Sleep until a post, a wake, the earliest pending delivery, or the
+    // deadline.
     if (wake == Clock::time_point::max()) {
       posted_.wait(mutex_);
     } else {

@@ -15,6 +15,13 @@
 // the sender's last message still waiting (the link serializes), so a
 // sender's messages become deliverable in the order they were posted.
 // Across senders, take() returns delivered messages in arrival order.
+//
+// wake() lets a thread that is not sending a message still end the
+// owner's wait (the dist controller is woken this way when an item is
+// pushed or the stream closes or fails): the owner's current take()
+// returns, or its next one if none is blocked. Wakes are not counted —
+// several before a take end that one take, and the flag is cleared by
+// whichever take returns next.
 
 #include <chrono>
 #include <cstddef>
@@ -43,11 +50,15 @@ class Mailbox {
   /// Enqueues `message` and wakes the owner. Never blocks.
   void post(Message message);
 
+  /// Makes the owner's current or next take() return, possibly empty.
+  /// Never blocks.
+  void wake();
+
   /// Up to `max_n` delivered messages, in arrival order, taken under one
-  /// lock acquisition. Waits until at least one is delivered or
-  /// `deadline` passes, whichever is first; empty means the deadline
-  /// passed (`Clock::time_point::max()` waits indefinitely, `Clock::now()`
-  /// does not wait at all).
+  /// lock acquisition. Waits until at least one is delivered, wake() is
+  /// called, or `deadline` passes, whichever is first; empty means a
+  /// wake or the deadline (`Clock::time_point::max()` waits
+  /// indefinitely, `Clock::now()` does not wait at all).
   std::vector<Message> take(std::size_t max_n, Clock::time_point deadline);
 
  private:
@@ -62,6 +73,7 @@ class Mailbox {
   util::CondVar posted_;
   std::map<int, Lane> lanes_ GRIDPIPE_GUARDED_BY(mutex_);  ///< by source
   std::uint64_t next_seq_ GRIDPIPE_GUARDED_BY(mutex_) = 0;
+  bool woken_ GRIDPIPE_GUARDED_BY(mutex_) = false;
 };
 
 }  // namespace gridpipe::comm

@@ -1,6 +1,5 @@
 #include "core/dist_executor.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -30,7 +29,9 @@ DistributedExecutor::DistributedExecutor(const grid::Grid& grid,
       obs_(options_.obs.sinks()),
       core_("DistributedExecutor", stages_.size(), options_.window,
             options_.time_scale, obs_, grid.num_nodes() + 1,
-            obs::kDefaultFlightEvents),
+            obs::kDefaultFlightEvents,
+            // A push, close or failure wakes the controller rank.
+            [this] { mailboxes_.back().wake(); }),
       mailboxes_(grid.num_nodes() + 1) {
   if (stages_.empty()) {
     throw std::invalid_argument("DistributedExecutor: no stages");
@@ -105,9 +106,9 @@ void DistributedExecutor::worker_loop(int rank) {
     worker_loop_impl(rank);
   } catch (...) {
     // A throwing stage function (or a malformed payload) ends the
-    // stream: capture the first error; the controller loop notices it
-    // within one poll tick and shuts the fleet down, and
-    // stream_finish() rethrows it to the caller.
+    // stream: capture the first error; fail() wakes the controller loop,
+    // which shuts the fleet down, and stream_finish() rethrows it to the
+    // caller.
     core_.fail(std::current_exception());
   }
 }
@@ -266,7 +267,7 @@ void DistributedExecutor::apply_remap(const sched::Mapping& to,
 
 void DistributedExecutor::controller_loop() {
   const int me = controller_rank();
-  comm::Mailbox& inbox = mailboxes_[static_cast<std::size_t>(me)];
+  comm::Mailbox& inbox = mailboxes_.back();
   const double epoch = options_.adapt.epoch;
   double next_epoch = epoch;
 
@@ -304,19 +305,17 @@ void DistributedExecutor::controller_loop() {
     }
     if (core_.done()) break;
 
-    // Wait at most until the next adaptation point, capped at 50 ms real
-    // either way: nothing posts to the controller's mailbox on a
-    // stream_push/stream_close, so the cap is what bounds the latency of
-    // noticing one. Results tend to arrive in bursts; one take drains a
+    // Wait for a message, a wake (push, close or failure, through the
+    // core's hook) or the next adaptation point; with epochs off, only
+    // the first two. Results tend to arrive in bursts; one take drains a
     // whole train of them.
-    double wait_real = 0.05;
+    auto deadline = comm::Clock::time_point::max();
     if (epoch > 0.0) {
-      wait_real = std::clamp((next_epoch - virtual_now()) * options_.time_scale,
-                             1e-3, 0.05);
+      deadline = core_.start() +
+                 std::chrono::duration_cast<comm::Clock::duration>(
+                     std::chrono::duration<double>(next_epoch *
+                                                   options_.time_scale));
     }
-    const auto deadline =
-        comm::Clock::now() + std::chrono::duration_cast<comm::Clock::duration>(
-                                 std::chrono::duration<double>(wait_real));
     for (comm::Message& m : inbox.take(kDrainBatch, deadline)) handle(m);
     if (epoch > 0.0 && virtual_now() >= next_epoch) {
       const control::EpochRecord record = controller_->run_epoch();
@@ -366,13 +365,16 @@ RunReport DistributedExecutor::stream_finish() {
     // controller loop has stopped receiving; collect the stragglers now
     // that every rank is joined so the trace covers the whole stream.
     for (comm::Message& m :
-         mailboxes_[static_cast<std::size_t>(controller_rank())].take(
-             std::size_t(-1), comm::Clock::now())) {
+         mailboxes_.back().take(std::size_t(-1), comm::Clock::now())) {
       if (m.kind == FrameKind::kTelemetry) {
         obs::apply_telemetry(obs::decode_telemetry(m.payload), obs_);
       }
     }
   }
+  // Nothing may leak into the next stream: a rank that died on a stage
+  // exception never took its kShutdown, and hops in flight at a failure
+  // were never taken at all.
+  std::vector<comm::Mailbox>(mailboxes_.size()).swap(mailboxes_);
   return core_.finish(controller_->take_epochs());
 }
 

@@ -160,7 +160,7 @@ class DistributedExecutor : private control::AdaptationHost {
   /// rank n.
   StreamCore<Bytes> core_;
 
-  /// One inbox per rank, indexed by rank.
+  /// One inbox per rank, indexed by rank; the controller rank's is last.
   std::vector<comm::Mailbox> mailboxes_;
   /// Shared free-list for hop/obs/admission buffers: workers and the
   /// controller compose messages into pooled buffers and release

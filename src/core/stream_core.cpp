@@ -12,8 +12,10 @@ template <class Item>
 StreamCore<Item>::StreamCore(const char* who, std::size_t num_stages,
                              std::size_t window, double time_scale,
                              obs::Sinks obs, std::size_t lanes,
-                             std::size_t flight_events)
+                             std::size_t flight_events,
+                             std::function<void()> wake)
     : who_(who),
+      wake_(std::move(wake)),
       window_(window != 0 ? window
                           : std::max<std::size_t>(4, 2 * num_stages)),
       time_scale_(time_scale),
@@ -57,12 +59,15 @@ void StreamCore<Item>::begin(std::string initial_mapping) {
 
 template <class Item>
 void StreamCore<Item>::push(Item item) {
-  util::MutexLock lock(mutex_);
-  if (!active_ || closed_) {
-    throw std::logic_error(std::string(who_) + ": push on a closed stream");
+  {
+    util::MutexLock lock(mutex_);
+    if (!active_ || closed_) {
+      throw std::logic_error(std::string(who_) + ": push on a closed stream");
+    }
+    pending_.emplace_back(pushed_++, std::move(item));
+    if (obs_metrics_.items_pushed) obs_metrics_.items_pushed->add(1);
   }
-  pending_.emplace_back(pushed_++, std::move(item));
-  if (obs_metrics_.items_pushed) obs_metrics_.items_pushed->add(1);
+  if (wake_) wake_();
 }
 
 template <class Item>
@@ -73,6 +78,7 @@ void StreamCore<Item>::close() {
     closed_ = true;
   }
   done_cv_.notify_all();
+  if (wake_) wake_();
 }
 
 template <class Item>
@@ -207,6 +213,7 @@ void StreamCore<Item>::fail(std::exception_ptr error) {
     if (!error_) error_ = std::move(error);
   }
   done_cv_.notify_all();
+  if (wake_) wake_();
 }
 
 template <class Item>

@@ -13,6 +13,11 @@
 // has room and records its admission. Who calls admit_next() is the
 // executor's choice — the threads runtime admits on the pushing or
 // completing thread, dist and process on their controller thread.
+// Such a controller waits on its own event source (a mailbox, a poll
+// set), so the core takes a wake hook at construction: push(), close()
+// and fail() call it after releasing the core's mutex, and the
+// controller learns of every state change it waits on from the event
+// itself, never from a timer. The threads runtime passes none.
 //
 // Completion: complete() files an output under its seq and frees its
 // credit; a seq that already completed is rejected as a duplicate, so
@@ -33,6 +38,7 @@
 #include <cstdint>
 #include <deque>
 #include <exception>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -65,10 +71,12 @@ class StreamCore {
   /// `who` prefixes every lifecycle error ("Executor: ..."). window 0 =
   /// auto (2·Ns, min 4). The flight recorder gets `lanes` lanes of
   /// `flight_events` each (0 = off; mmap failure also means off).
+  /// `wake` (may be empty) runs after every push(), close() and fail(),
+  /// outside the core's mutex; it must not block.
   /// Throws std::invalid_argument unless time_scale is finite and > 0.
   StreamCore(const char* who, std::size_t num_stages, std::size_t window,
              double time_scale, obs::Sinks obs, std::size_t lanes,
-             std::size_t flight_events);
+             std::size_t flight_events, std::function<void()> wake = {});
 
   // ---- lifecycle ----------------------------------------------------
   /// Resets every per-stream field and restarts the clock. Throws
@@ -141,6 +149,7 @@ class StreamCore {
       GRIDPIPE_REQUIRES(mutex_);
 
   const char* who_;
+  std::function<void()> wake_;
   std::size_t window_;
   double time_scale_;
   obs::Sinks obs_;

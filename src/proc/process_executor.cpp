@@ -5,6 +5,7 @@
 #include <bit>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <system_error>
@@ -63,7 +64,7 @@ ProcessExecutor::ProcessExecutor(const grid::Grid& grid,
       obs_(options_.obs.sinks()),
       core_("ProcessExecutor", stages_.size(), options_.window,
             options_.time_scale, obs_, grid.num_nodes() + 1,
-            obs::kDefaultFlightEvents) {
+            obs::kDefaultFlightEvents, [this] { wake(); }) {
   if (stages_.empty()) {
     throw std::invalid_argument("ProcessExecutor: no stages");
   }
@@ -73,6 +74,11 @@ ProcessExecutor::ProcessExecutor(const grid::Grid& grid,
   }
   profile_ = profile();
   controller_ = make_controller();
+  if (::pipe2(wake_pipe_.data(), O_NONBLOCK | O_CLOEXEC) != 0) {
+    const int err = errno;
+    throw std::runtime_error(std::string("ProcessExecutor: pipe2: ") +
+                             describe_errno(err));
+  }
 }
 
 ProcessExecutor::~ProcessExecutor() {
@@ -86,6 +92,8 @@ ProcessExecutor::~ProcessExecutor() {
     }
   }
   kill_fleet();
+  ::close(wake_pipe_[0]);
+  ::close(wake_pipe_[1]);
 }
 
 std::unique_ptr<control::AdaptationController>
@@ -145,6 +153,8 @@ void ProcessExecutor::spawn_worker(std::size_t node,
     // mid-operation here.)
     for (Worker& w : workers_) w.sock.close();
     parent_end.close();
+    ::close(wake_pipe_[0]);
+    ::close(wake_pipe_[1]);
     // Keep our own doorbell read end plus every write end; siblings'
     // read ends are theirs alone.
     for (std::size_t i = 0; i < bells_.size(); ++i) {
@@ -190,6 +200,43 @@ void ProcessExecutor::close_parent_bells() noexcept {
   }
   bells_.clear();
   bell_wr_.clear();
+}
+
+void ProcessExecutor::wake() noexcept {
+  if (wake_armed_.exchange(true)) return;  // a byte is already pending
+  const char byte = 1;
+  // Cannot fill: at most one byte is ever pending.
+  [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
+}
+
+int ProcessExecutor::poll_timeout_ms(double next_epoch) const {
+  using Clock = std::chrono::steady_clock;
+  if (!dead_nodes_.empty()) return 0;
+  const auto real = [this](double virtual_s) {
+    return std::chrono::duration_cast<Clock::duration>(
+        std::chrono::duration<double>(virtual_s * options_.time_scale));
+  };
+  std::optional<Clock::time_point> until;
+  const auto earliest = [&until](Clock::time_point t) {
+    if (!until || t < *until) until = t;
+  };
+  const auto now = Clock::now();
+  if (options_.adapt.epoch > 0.0) earliest(core_.start() + real(next_epoch));
+  for (const auto& at : respawn_at_) {
+    if (at) earliest(*at);
+  }
+  // Four checks per stall_after window: a silence is reported at most a
+  // quarter of the threshold late even when no frame arrives.
+  if (options_.stall_after > 0.0) {
+    earliest(now + real(options_.stall_after / 4));
+  }
+  if (!until) return -1;
+  if (*until <= now) return 0;
+  // Round up: waking a little late is fine, spinning on 0 is not.
+  const auto ms =
+      std::chrono::ceil<std::chrono::milliseconds>(*until - now).count();
+  return static_cast<int>(
+      std::min<std::int64_t>(ms, std::numeric_limits<int>::max()));
 }
 
 void ProcessExecutor::spawn_fleet() {
@@ -384,7 +431,8 @@ void ProcessExecutor::event_loop() {
   const double epoch = options_.adapt.epoch;
   double next_epoch = epoch;
 
-  std::vector<pollfd> fds(workers_.size());
+  // One slot per worker, then the wake pipe.
+  std::vector<pollfd> fds(workers_.size() + 1);
   for (;;) {
     // Recovery housekeeping first: supervisor decisions for fresh
     // deaths, respawns whose backoff expired, requested arrivals. All
@@ -409,26 +457,31 @@ void ProcessExecutor::event_loop() {
     }
     if (core_.done()) return;
 
-    // Wait at most until the next adaptation point, capped at 50 ms real
-    // either way: nothing wakes poll() on a stream_push/stream_close, so
-    // the cap is what bounds the latency of noticing one.
-    double wait_real = 0.05;
-    if (epoch > 0.0) {
-      wait_real = std::clamp((next_epoch - virtual_now()) * options_.time_scale,
-                             1e-3, 0.05);
-    }
+    // Sleep until a frame, a writable socket, a wake (push, close,
+    // failure or arrival) or the earliest timer the loop owns.
     for (std::size_t i = 0; i < workers_.size(); ++i) {
       fds[i].fd = workers_[i].sock.fd();
       fds[i].events = POLLIN;
       if (workers_[i].sock.pending_out() > 0) fds[i].events |= POLLOUT;
       fds[i].revents = 0;
     }
-    const int timeout_ms = std::max(1, static_cast<int>(wait_real * 1e3));
-    const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
+    fds.back() = {wake_pipe_[0], POLLIN, 0};
+    const int ready =
+        ::poll(fds.data(), fds.size(), poll_timeout_ms(next_epoch));
     if (ready < 0 && errno != EINTR) {
       kill_fleet();
       throw std::runtime_error(std::string("ProcessExecutor: poll: ") +
                                describe_errno(errno));
+    }
+    if (fds.back().revents & POLLIN) {
+      // Disarm first, then drain: the next iteration re-reads the state
+      // every wake announces (arrivals, can_admit, done), so a wake that
+      // races this either finds the flag clear and writes a fresh byte or
+      // is already visible to those reads.
+      wake_armed_.store(false);
+      char sink[64];
+      while (::read(wake_pipe_[0], sink, sizeof(sink)) > 0) {
+      }
     }
 
     for (std::size_t i = 0; i < workers_.size() && ready > 0; ++i) {
@@ -848,8 +901,11 @@ void ProcessExecutor::request_arrival(std::size_t node) {
   if (node >= grid_.num_nodes()) {
     throw std::invalid_argument("ProcessExecutor: arrival for unknown node");
   }
-  util::MutexLock lock(status_mutex_);
-  arrivals_.push_back(node);
+  {
+    util::MutexLock lock(status_mutex_);
+    arrivals_.push_back(node);
+  }
+  wake();
 }
 
 std::string ProcessExecutor::flight_tail(std::size_t lane,

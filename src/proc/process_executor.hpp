@@ -29,13 +29,16 @@
 // poll(2) on a dedicated controller thread; stream_push() enqueues items
 // the poll loop admits under the credit window, stream_try_pop() returns
 // outputs in input order (the stream state lives in the shared
-// core::StreamCore), and stream_finish() reaps every child with
-// waitpid before returning — no SIGCHLD handler (a library must not own
-// process-wide signal dispositions; synchronous reaping needs none). A
-// worker that dies mid-stream surfaces as EOF on its socket; by default
-// the parent reaps it for the exit status, kills the rest of the fleet
-// and stream_finish() rethrows the failure. run() is a batch wrapper
-// over one stream.
+// core::StreamCore). A push, close, failure or request_arrival() wakes
+// the loop through a self-pipe in its poll set, so poll() sleeps only
+// until the earliest timer the loop owns (next epoch, respawn backoff,
+// stall check) or without a timeout when it owns none. stream_finish()
+// reaps every child with waitpid before returning — no SIGCHLD handler
+// (a library must not own process-wide signal dispositions; synchronous
+// reaping needs none). A worker that dies mid-stream surfaces as EOF on
+// its socket; by default the parent reaps it for the exit status, kills
+// the rest of the fleet and stream_finish() rethrows the failure. run()
+// is a batch wrapper over one stream.
 //
 // Fault tolerance (options.recovery.enabled): a worker death no longer
 // fails the run. Every admitted item is journaled (seq, payload) until
@@ -229,6 +232,15 @@ class ProcessExecutor : private control::AdaptationHost {
   /// Closes the parent's retained doorbell fds (recovery keeps them
   /// open across the stream so respawned children can inherit them).
   void close_parent_bells() noexcept;
+  /// Ends the event loop's poll() wait (any thread, never blocks): the
+  /// first call after the loop last drained the self-pipe writes one
+  /// byte, later ones only find wake_armed_ already set.
+  void wake() noexcept;
+  /// poll() timeout until the earliest timer the loop owns: the next
+  /// epoch, a respawn's backoff deadline, the stall-check cadence; -1
+  /// (no timeout) when it owns none, 0 when a death awaits the
+  /// supervisor.
+  int poll_timeout_ms(double next_epoch) const;
   [[noreturn]] void fail_lost(std::size_t node, const std::string& why);
 
   const grid::Grid& grid_;
@@ -293,6 +305,13 @@ class ProcessExecutor : private control::AdaptationHost {
   std::atomic<std::uint64_t> respawns_{0};
   std::atomic<std::uint64_t> replays_{0};
   std::atomic<std::uint64_t> journal_live_{0};
+
+  /// Self-pipe in the event loop's poll set ([0] read, [1] write, both
+  /// nonblocking), created with the executor and closed by every forked
+  /// child. wake_armed_ is set while a byte is pending, so a burst of
+  /// pushes writes one byte.
+  std::array<int, 2> wake_pipe_{-1, -1};
+  std::atomic<bool> wake_armed_{false};
 
   std::thread controller_thread_;
 };

@@ -1,6 +1,6 @@
 // Tests for the dist ranks' comm::Mailbox: delivery deadlines, per-sender
 // ordering under unequal delays, batch and deadline bounds on take(),
-// post wakeups, and many-to-one traffic under concurrency. Also the
+// post and wake() wakeups, and many-to-one traffic under concurrency. Also the
 // shared wire vocabulary: pooled buffers, span codecs, and the telemetry
 // leg — kTelemetry frames round-trip through the FrameReader, malformed
 // payloads are rejected, and reserved-but-unknown frame kinds are
@@ -163,6 +163,51 @@ TEST(Mailbox, BlockedTakeWokenByPost) {
   ASSERT_EQ(run_cycles.wait_for(60s), std::future_status::ready)
       << "take() hung: a blocked taker lost the post wakeup";
   EXPECT_TRUE(run_cycles.get());
+}
+
+// wake() must end a take that is blocked with no message and no
+// deadline — the dist controller's idle wait with epochs off — even when
+// it races the taker's predicate-check-to-block window. Watchdog as
+// above: a lost wake is a hang, not a race report.
+TEST(Mailbox, WakeInterruptsBlockedTake) {
+  auto run_cycles = std::async(std::launch::async, [] {
+    for (int cycle = 0; cycle < 500; ++cycle) {
+      Mailbox inbox;
+      auto taken = std::async(std::launch::async, [&inbox] {
+        return inbox.take(16, Clock::time_point::max());
+      });
+      if (cycle % 2 == 0) std::this_thread::sleep_for(50us);
+      inbox.wake();
+      if (!taken.get().empty()) return false;
+    }
+    return true;
+  });
+  ASSERT_EQ(run_cycles.wait_for(60s), std::future_status::ready)
+      << "take() hung: a blocked taker lost the wake";
+  EXPECT_TRUE(run_cycles.get());
+}
+
+// A wake with no taker waiting ends the next take, and only that one:
+// wakes do not add up and do not stick.
+TEST(Mailbox, WakeBeforeTakeReturnsOnce) {
+  Mailbox inbox;
+  inbox.wake();
+  inbox.wake();
+  auto start = Clock::now();
+  EXPECT_TRUE(inbox.take(16, start + 10s).empty());
+  EXPECT_LT(Clock::now() - start, 5s) << "a pending wake did not end take()";
+
+  start = Clock::now();
+  EXPECT_TRUE(inbox.take(16, start + 30ms).empty());
+  EXPECT_GE(Clock::now() - start, 30ms) << "the wake stuck";
+
+  // A take that returns messages consumes a pending wake with them.
+  inbox.wake();
+  inbox.post(msg(0, 7, Clock::now()));
+  EXPECT_EQ(ints_of(inbox.take(16, Clock::now() + 10s)), std::vector<int>{7});
+  start = Clock::now();
+  EXPECT_TRUE(inbox.take(16, start + 30ms).empty());
+  EXPECT_GE(Clock::now() - start, 30ms) << "the wake stuck";
 }
 
 // Stress: many senders with mixed delays, one taker; every message

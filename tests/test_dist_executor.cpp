@@ -1,10 +1,15 @@
 // Tests for the message-passing DistributedExecutor: wire formats,
-// end-to-end correctness over per-rank mailboxes, heterogeneity emulation
-// and controller-driven adaptation.
+// end-to-end correctness over per-rank mailboxes, heterogeneity emulation,
+// controller-driven adaptation, and event-driven controller wakeups.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "core/dist_executor.hpp"
 #include "grid/builders.hpp"
@@ -226,6 +231,79 @@ TEST(DistributedExecutor, OnChangeTriggerReactsToLoadStep) {
         std::any_cast<const Bytes&>(report.outputs[static_cast<std::size_t>(i)]);
     EXPECT_EQ(int_of_bytes(out), (i + 1) * 3 - 1);
   }
+}
+
+// ---------------------------------------------------------- wakeups
+
+// How long stream_finish() takes once `end` has ended an idle stream:
+// the median over five streams, in ms. Each stream first delivers one
+// item and lets the trailing speed samples settle, so the controller
+// sits in its wait when `end` runs; with epochs off only the event
+// itself can wake it. finish must throw iff `fails`.
+template <class End>
+double median_finish_ms(DistributedExecutor& executor, End end, bool fails) {
+  using Clock = std::chrono::steady_clock;
+  std::vector<double> ms;
+  for (int run = 0; run < 5; ++run) {
+    executor.stream_begin();
+    executor.stream_push(bytes_of_int(1));
+    const auto deadline = Clock::now() + std::chrono::seconds(10);
+    while (!executor.stream_try_pop() && Clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const auto start = Clock::now();
+    end();
+    if (fails) {
+      EXPECT_THROW(executor.stream_finish(), std::runtime_error);
+    } else {
+      EXPECT_EQ(executor.stream_finish().items, 1u);
+    }
+    ms.push_back(
+        std::chrono::duration<double, std::milli>(Clock::now() - start)
+            .count());
+  }
+  std::nth_element(ms.begin(), ms.begin() + 2, ms.end());
+  return ms[2];
+}
+
+rt::RuntimeOptions idle_dist_config() {
+  rt::RuntimeOptions config;
+  config.emulate_compute = false;
+  config.adapt.epoch = 0.0;
+  return config;
+}
+
+TEST(DistributedExecutor, CloseEndsIdleStreamWithoutATick) {
+  const auto g = grid::uniform_cluster(2, 1.0, 1e-3, 1e8);
+  DistributedExecutor executor(g, arithmetic_stages(),
+                               sched::Mapping(std::vector<NodeId>{0, 1, 0}),
+                               idle_dist_config());
+  const double ms = median_finish_ms(
+      executor, [&] { executor.stream_close(); }, /*fails=*/false);
+  EXPECT_LT(ms, 25.0) << "close->finish waited for a timer";
+}
+
+TEST(DistributedExecutor, ThrowingStageEndsStreamPromptlyWithEpochsOff) {
+  const auto g = grid::uniform_cluster(2, 1.0, 1e-3, 1e8);
+  auto stages = arithmetic_stages();
+  stages[1].fn = [](ByteSpan in, Bytes& out) {
+    if (int_of_bytes(in) == 0) throw std::runtime_error("stage 1 rejects 0");
+    append_int(out, int_of_bytes(in) * 3);
+  };
+  DistributedExecutor executor(g, std::move(stages),
+                               sched::Mapping(std::vector<NodeId>{0, 1, 0}),
+                               idle_dist_config());
+  // Item -1 reaches stage 1 as 0. Pushed onto an idle stream and closed
+  // at once: admission and the failure each need the controller awake.
+  const double ms = median_finish_ms(
+      executor,
+      [&] {
+        executor.stream_push(bytes_of_int(-1));
+        executor.stream_close();
+      },
+      /*fails=*/true);
+  EXPECT_LT(ms, 25.0) << "push->failure->finish waited for a timer";
 }
 
 TEST(DistributedExecutor, RejectsBadConstruction) {

@@ -2,14 +2,17 @@
 // format (round-trips for every kind, malformed/truncated rejection),
 // end-to-end correctness over real forked processes and Unix sockets,
 // crash detection, controller-driven adaptation (the same kOnChange
-// quiet-epoch/load-step scenarios the other runtimes pass), and decision
-// parity with the DistributedExecutor.
+// quiet-epoch/load-step scenarios the other runtimes pass), decision
+// parity with the DistributedExecutor, and event-driven wakeups of the
+// parent's poll loop.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <thread>
+#include <vector>
 
 #include <signal.h>
 #include <unistd.h>
@@ -361,6 +364,103 @@ TEST(ProcessExecutor, StatusSnapshotIsWellFormedMidStream) {
   executor.stream_close();
   const auto report = executor.stream_finish();
   EXPECT_EQ(report.items, 20u);
+}
+
+// ---------------------------------------------------------- wakeups
+
+// Options under which nothing but the event itself wakes an idle poll
+// loop: no epochs, no stall checks, heartbeats far apart.
+rt::RuntimeOptions idle_proc_config() {
+  rt::RuntimeOptions config;
+  config.emulate_compute = false;
+  config.adapt.epoch = 0.0;
+  config.stall_after = 0.0;
+  config.health_interval = 1e4;
+  return config;
+}
+
+// Pops until `n` outputs have arrived (or 10 s pass); returns them.
+std::vector<Bytes> pop_n(ProcessExecutor& executor, std::size_t n) {
+  std::vector<Bytes> got;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (got.size() < n && std::chrono::steady_clock::now() < deadline) {
+    if (auto out = executor.stream_try_pop()) {
+      got.push_back(std::move(*out));
+    } else {
+      std::this_thread::yield();
+    }
+  }
+  return got;
+}
+
+TEST(ProcessExecutor, CloseEndsIdleStreamWithoutATick) {
+  // close -> finish on an idle stream, median of five. Each stream
+  // delivers one item first and lets the workers' trailing frames
+  // settle, so the loop sits in poll() at the close; finish still
+  // flushes kShutdown and reaps the fleet, which is quick.
+  const auto g = grid::uniform_cluster(2, 1.0, 1e-3, 1e8);
+  ProcessExecutor executor(g, arithmetic_stages(),
+                           sched::Mapping(std::vector<NodeId>{0, 1, 0}),
+                           idle_proc_config());
+  std::vector<double> ms;
+  for (int run = 0; run < 5; ++run) {
+    executor.stream_begin();
+    executor.stream_push(bytes_of_int(1));
+    ASSERT_EQ(pop_n(executor, 1).size(), 1u);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const auto start = std::chrono::steady_clock::now();
+    executor.stream_close();
+    EXPECT_EQ(executor.stream_finish().items, 1u);
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - start)
+                     .count());
+  }
+  std::nth_element(ms.begin(), ms.begin() + 2, ms.end());
+  EXPECT_LT(ms[2], 25.0) << "close->finish waited for a timer";
+}
+
+TEST(ProcessExecutor, ArrivalRequestOnIdleStreamForksWithoutATick) {
+  // Degrade node 1 (killed at item 5, no respawn budget), drain the
+  // stream so the loop goes idle, then ask for the node back: the fork
+  // must follow the request, not the next timer.
+  const auto g = grid::uniform_cluster(3, 1.0, 1e-3, 1e8);
+  rt::RuntimeOptions config = idle_proc_config();
+  config.recovery.enabled = true;
+  config.recovery.respawn.max_respawns = 0;
+  config.recovery.faults.kills = {{/*node=*/1, /*item=*/5}};
+  ProcessExecutor executor(g, arithmetic_stages(),
+                           sched::Mapping(std::vector<NodeId>{0, 1, 2}),
+                           config);
+  executor.stream_begin();
+  for (int i = 0; i < 10; ++i) executor.stream_push(bytes_of_int(i));
+  std::vector<Bytes> outputs = pop_n(executor, 10);
+  ASSERT_EQ(outputs.size(), 10u);
+  ASSERT_EQ(executor.worker_pids().at(1), -1) << "node 1 was not degraded";
+
+  const auto start = std::chrono::steady_clock::now();
+  executor.request_arrival(1);
+  while (executor.worker_pids().at(1) <= 0 &&
+         std::chrono::steady_clock::now() - start < std::chrono::seconds(10)) {
+    std::this_thread::yield();
+  }
+  const double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+  EXPECT_GT(executor.worker_pids().at(1), 0) << "no arrival fork";
+  EXPECT_LT(ms, 25.0) << "the arrival waited for a timer";
+
+  for (int i = 10; i < 20; ++i) executor.stream_push(bytes_of_int(i));
+  executor.stream_close();
+  const core::RunReport report = executor.stream_finish();
+  EXPECT_EQ(report.node_losses, 1u);
+  while (auto out = executor.stream_try_pop()) outputs.push_back(std::move(*out));
+  ASSERT_EQ(outputs.size(), 20u);
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(int_of_bytes(outputs[static_cast<std::size_t>(i)]),
+              (i + 1) * 3 - 1)
+        << "item " << i;
+  }
 }
 
 TEST(ProcessExecutor, RejectsBadConstruction) {

@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <future>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "grid/builders.hpp"
@@ -600,6 +602,50 @@ TEST(RtWindow, WideWindowOnOneNodeFinishesOnEveryLiveSubstrate) {
     }
     stream.join();
     EXPECT_EQ(finished.get(), expected) << to_string(kind);
+  }
+}
+
+// Regression guard for the idle-latency floor: with adaptation off and
+// items trickling in one at a time, nothing but the push itself can
+// wake a controller that admits items (dist, process); a controller
+// that waits for a timer instead holds each item for most of the
+// timer's period. The median keeps one scheduler hiccup on a busy host
+// from failing the test.
+TEST(RtLatency, TrickledItemsAreAdmittedWithoutWaitingOutATimer) {
+  const auto g = grid::uniform_cluster(2, 1.0, 1e-3, 1e8);
+  constexpr std::int64_t kItems = 25;
+  const auto expected = expected_outputs(kItems);
+  for (RuntimeKind kind :
+       {RuntimeKind::kThreads, RuntimeKind::kDist, RuntimeKind::kProcess}) {
+    RuntimeOptions options;
+    options.emulate_compute = false;
+    options.adapt.epoch = 0.0;
+    auto runtime = make_runtime(kind, g, typed_spec(), options);
+    auto session = runtime->open();
+    std::vector<double> latency_ms;
+    for (std::int64_t i = 0; i < kItems; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(3));
+      const auto pushed = std::chrono::steady_clock::now();
+      session->push(std::any(i));
+      std::optional<std::any> out;
+      while (!(out = session->try_pop()) &&
+             std::chrono::steady_clock::now() - pushed <
+                 std::chrono::seconds(10)) {
+        std::this_thread::yield();
+      }
+      ASSERT_TRUE(out.has_value()) << to_string(kind) << ": item " << i;
+      latency_ms.push_back(std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - pushed)
+                               .count());
+      EXPECT_EQ(std::any_cast<std::string>(*out),
+                expected[static_cast<std::size_t>(i)]);
+    }
+    session->close();
+    EXPECT_EQ(session->report().items, static_cast<std::uint64_t>(kItems));
+    std::nth_element(latency_ms.begin(),
+                     latency_ms.begin() + kItems / 2, latency_ms.end());
+    EXPECT_LT(latency_ms[kItems / 2], 10.0)
+        << to_string(kind) << ": median push→pop latency in ms";
   }
 }
 

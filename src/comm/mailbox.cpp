@@ -23,6 +23,12 @@ void Mailbox::wake() {
   posted_.notify_all();
 }
 
+void Mailbox::clear() {
+  util::MutexLock lock(mutex_);
+  lanes_.clear();
+  woken_ = false;
+}
+
 std::vector<Message> Mailbox::take(std::size_t max_n,
                                    Clock::time_point deadline) {
   std::vector<Message> out;

@@ -61,6 +61,11 @@ class Mailbox {
   /// indefinitely, `Clock::now()` does not wait at all).
   std::vector<Message> take(std::size_t max_n, Clock::time_point deadline);
 
+  /// Drops every waiting message and a pending wake. For reusing the
+  /// mailbox once its owner and every sender have stopped; a wake()
+  /// racing it is harmless (the next take() may return empty).
+  void clear();
+
  private:
   struct Stamped {
     Message msg;

@@ -373,8 +373,10 @@ RunReport DistributedExecutor::stream_finish() {
   }
   // Nothing may leak into the next stream: a rank that died on a stage
   // exception never took its kShutdown, and hops in flight at a failure
-  // were never taken at all.
-  std::vector<comm::Mailbox>(mailboxes_.size()).swap(mailboxes_);
+  // were never taken at all. Cleared in place, not replaced: the core's
+  // wake hook may still be reaching the controller's mailbox from a
+  // close() on another thread.
+  for (comm::Mailbox& mailbox : mailboxes_) mailbox.clear();
   return core_.finish(controller_->take_epochs());
 }
 

@@ -13,6 +13,7 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/eventfd.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -74,9 +75,10 @@ ProcessExecutor::ProcessExecutor(const grid::Grid& grid,
   }
   profile_ = profile();
   controller_ = make_controller();
-  if (::pipe2(wake_pipe_.data(), O_NONBLOCK | O_CLOEXEC) != 0) {
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake_fd_ < 0) {
     const int err = errno;
-    throw std::runtime_error(std::string("ProcessExecutor: pipe2: ") +
+    throw std::runtime_error(std::string("ProcessExecutor: eventfd: ") +
                              describe_errno(err));
   }
 }
@@ -92,8 +94,7 @@ ProcessExecutor::~ProcessExecutor() {
     }
   }
   kill_fleet();
-  ::close(wake_pipe_[0]);
-  ::close(wake_pipe_[1]);
+  ::close(wake_fd_);
 }
 
 std::unique_ptr<control::AdaptationController>
@@ -153,8 +154,7 @@ void ProcessExecutor::spawn_worker(std::size_t node,
     // mid-operation here.)
     for (Worker& w : workers_) w.sock.close();
     parent_end.close();
-    ::close(wake_pipe_[0]);
-    ::close(wake_pipe_[1]);
+    ::close(wake_fd_);
     // Keep our own doorbell read end plus every write end; siblings'
     // read ends are theirs alone.
     for (std::size_t i = 0; i < bells_.size(); ++i) {
@@ -203,10 +203,9 @@ void ProcessExecutor::close_parent_bells() noexcept {
 }
 
 void ProcessExecutor::wake() noexcept {
-  if (wake_armed_.exchange(true)) return;  // a byte is already pending
-  const char byte = 1;
-  // Cannot fill: at most one byte is ever pending.
-  [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
+  const std::uint64_t one = 1;
+  // Fails (EAGAIN) only with the counter near 2^64, i.e. readable anyway.
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
 }
 
 int ProcessExecutor::poll_timeout_ms(double next_epoch) const {
@@ -431,7 +430,7 @@ void ProcessExecutor::event_loop() {
   const double epoch = options_.adapt.epoch;
   double next_epoch = epoch;
 
-  // One slot per worker, then the wake pipe.
+  // One slot per worker, then the wake eventfd.
   std::vector<pollfd> fds(workers_.size() + 1);
   for (;;) {
     // Recovery housekeeping first: supervisor decisions for fresh
@@ -465,7 +464,7 @@ void ProcessExecutor::event_loop() {
       if (workers_[i].sock.pending_out() > 0) fds[i].events |= POLLOUT;
       fds[i].revents = 0;
     }
-    fds.back() = {wake_pipe_[0], POLLIN, 0};
+    fds.back() = {wake_fd_, POLLIN, 0};
     const int ready =
         ::poll(fds.data(), fds.size(), poll_timeout_ms(next_epoch));
     if (ready < 0 && errno != EINTR) {
@@ -474,14 +473,13 @@ void ProcessExecutor::event_loop() {
                                describe_errno(errno));
     }
     if (fds.back().revents & POLLIN) {
-      // Disarm first, then drain: the next iteration re-reads the state
-      // every wake announces (arrivals, can_admit, done), so a wake that
-      // races this either finds the flag clear and writes a fresh byte or
-      // is already visible to those reads.
-      wake_armed_.store(false);
-      char sink[64];
-      while (::read(wake_pipe_[0], sink, sizeof(sink)) > 0) {
-      }
+      // One read zeroes the counter. A wake it swallows made its state
+      // change (push, close, failure, arrival) before writing, so the
+      // next iteration's reads see it; a later wake leaves the counter
+      // non-zero and ends the next poll().
+      std::uint64_t count = 0;
+      [[maybe_unused]] const ssize_t n =
+          ::read(wake_fd_, &count, sizeof(count));
     }
 
     for (std::size_t i = 0; i < workers_.size() && ready > 0; ++i) {

@@ -30,7 +30,7 @@
 // the poll loop admits under the credit window, stream_try_pop() returns
 // outputs in input order (the stream state lives in the shared
 // core::StreamCore). A push, close, failure or request_arrival() wakes
-// the loop through a self-pipe in its poll set, so poll() sleeps only
+// the loop through an eventfd in its poll set, so poll() sleeps only
 // until the earliest timer the loop owns (next epoch, respawn backoff,
 // stall check) or without a timeout when it owns none. stream_finish()
 // reaps every child with waitpid before returning — no SIGCHLD handler
@@ -232,9 +232,8 @@ class ProcessExecutor : private control::AdaptationHost {
   /// Closes the parent's retained doorbell fds (recovery keeps them
   /// open across the stream so respawned children can inherit them).
   void close_parent_bells() noexcept;
-  /// Ends the event loop's poll() wait (any thread, never blocks): the
-  /// first call after the loop last drained the self-pipe writes one
-  /// byte, later ones only find wake_armed_ already set.
+  /// Ends the event loop's current or next poll() wait (any thread,
+  /// never blocks) by bumping the wake eventfd's counter.
   void wake() noexcept;
   /// poll() timeout until the earliest timer the loop owns: the next
   /// epoch, a respawn's backoff deadline, the stall-check cadence; -1
@@ -306,12 +305,10 @@ class ProcessExecutor : private control::AdaptationHost {
   std::atomic<std::uint64_t> replays_{0};
   std::atomic<std::uint64_t> journal_live_{0};
 
-  /// Self-pipe in the event loop's poll set ([0] read, [1] write, both
-  /// nonblocking), created with the executor and closed by every forked
-  /// child. wake_armed_ is set while a byte is pending, so a burst of
-  /// pushes writes one byte.
-  std::array<int, 2> wake_pipe_{-1, -1};
-  std::atomic<bool> wake_armed_{false};
+  /// Nonblocking eventfd in the event loop's poll set, created with the
+  /// executor and closed by every forked child. wake() adds to its
+  /// counter; one read drains any number of wakes.
+  int wake_fd_ = -1;
 
   std::thread controller_thread_;
 };

@@ -210,6 +210,21 @@ TEST(Mailbox, WakeBeforeTakeReturnsOnce) {
   EXPECT_GE(Clock::now() - start, 30ms) << "the wake stuck";
 }
 
+// clear() empties the mailbox for reuse: waiting messages and a pending
+// wake are both gone, and later posts deliver as usual.
+TEST(Mailbox, ClearDropsMessagesAndPendingWake) {
+  Mailbox inbox;
+  inbox.post(msg(0, 1, Clock::now()));
+  inbox.post(msg(1, 2, Clock::now() + 1h));
+  inbox.wake();
+  inbox.clear();
+  const auto start = Clock::now();
+  EXPECT_TRUE(inbox.take(16, start + 30ms).empty());
+  EXPECT_GE(Clock::now() - start, 30ms) << "the wake survived clear()";
+  inbox.post(msg(0, 3, Clock::now()));
+  EXPECT_EQ(ints_of(inbox.take(16, Clock::now() + 10s)), std::vector<int>{3});
+}
+
 // Stress: many senders with mixed delays, one taker; every message
 // arrives exactly once and each sender's messages stay in order.
 TEST(Mailbox, ManyToOneStress) {

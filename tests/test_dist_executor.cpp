@@ -306,6 +306,36 @@ TEST(DistributedExecutor, ThrowingStageEndsStreamPromptlyWithEpochsOff) {
   EXPECT_LT(ms, 25.0) << "push->failure->finish waited for a timer";
 }
 
+TEST(DistributedExecutor, CloseOnAnotherThreadRacingFinishIsSafe) {
+  // close() calls the core's wake hook after releasing the core, so a
+  // finish() on another thread can already be tearing the stream down
+  // while the hook reaches the controller's mailbox. Under TSan/ASan a
+  // teardown that frees or replaces the mailboxes shows up here.
+  const auto g = grid::uniform_cluster(2, 1.0, 1e-3, 1e8);
+  DistributedExecutor executor(g, arithmetic_stages(),
+                               sched::Mapping(std::vector<NodeId>{0, 1, 0}),
+                               idle_dist_config());
+  for (int cycle = 0; cycle < 50; ++cycle) {
+    executor.stream_begin();
+    executor.stream_push(bytes_of_int(cycle));
+    std::thread closer([&executor] { executor.stream_close(); });
+    RunReport report;
+    for (;;) {
+      try {
+        report = executor.stream_finish();
+        break;
+      } catch (const std::logic_error&) {
+        std::this_thread::yield();  // not closed yet
+      }
+    }
+    closer.join();
+    ASSERT_EQ(report.items, 1u) << "cycle " << cycle;
+    const auto out = executor.stream_try_pop();
+    ASSERT_TRUE(out.has_value());
+    EXPECT_EQ(int_of_bytes(*out), (cycle + 1) * 3 - 1);
+  }
+}
+
 TEST(DistributedExecutor, RejectsBadConstruction) {
   const auto g = grid::uniform_cluster(2, 1.0, 1e-3, 1e8);
   EXPECT_THROW(DistributedExecutor(g, {}, sched::Mapping{}, {}),

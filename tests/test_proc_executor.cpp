@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -461,6 +462,43 @@ TEST(ProcessExecutor, ArrivalRequestOnIdleStreamForksWithoutATick) {
               (i + 1) * 3 - 1)
         << "item " << i;
   }
+}
+
+TEST(ProcessExecutor, BurstsOfPushesNeverLeaveTheLoopDeaf) {
+  // With epochs and stall checks off, poll() has no timeout, so only a
+  // wake can start an idle stream again. Each cycle pushes a burst with
+  // sub-microsecond to ~2 us gaps, which keeps wakes landing while the
+  // loop is handling the previous one, then pops it all so the loop
+  // goes idle before the next burst. A wake primitive that can end up
+  // set with nothing left to read (a lost wake that never clears)
+  // stalls the first push of some later burst for good; a coalescing
+  // flag cleared before the drain did so within a few cycles. The
+  // executor lives on the heap so that a stalled one can be abandoned:
+  // its close() would never be noticed.
+  const auto g = grid::uniform_cluster(2, 1.0, 1e-3, 1e8);
+  auto executor = std::make_unique<ProcessExecutor>(
+      g, arithmetic_stages(), sched::Mapping(std::vector<NodeId>{0, 1, 0}),
+      idle_proc_config());
+  executor->stream_begin();
+  constexpr int kBurst = 32;
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    const auto gap = std::chrono::nanoseconds(250 * (cycle % 8));
+    for (int i = 0; i < kBurst; ++i) {
+      executor->stream_push(bytes_of_int(cycle * kBurst + i));
+      const auto until = std::chrono::steady_clock::now() + gap;
+      while (std::chrono::steady_clock::now() < until) {
+      }
+    }
+    const std::vector<Bytes> got = pop_n(*executor, kBurst);
+    if (got.size() != static_cast<std::size_t>(kBurst)) {
+      executor.release();  // deliberately leaked: teardown would hang
+      FAIL() << "cycle " << cycle << ": " << got.size() << " of " << kBurst
+             << " items came back; the loop stopped hearing wakes";
+    }
+    EXPECT_EQ(int_of_bytes(got.back()), ((cycle + 1) * kBurst) * 3 - 1);
+  }
+  executor->stream_close();
+  EXPECT_EQ(executor->stream_finish().items, 200u * kBurst);
 }
 
 TEST(ProcessExecutor, RejectsBadConstruction) {

@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 #include <cerrno>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -47,12 +46,17 @@ std::string describe_wait_status(int status) {
   return "status " + std::to_string(status);
 }
 
-/// strerror without the shared-static-buffer thread hazard.
-std::string describe_errno(int err) {
-  return std::generic_category().message(err);
-}
+using Clock = std::chrono::steady_clock;
+using recover::WorkerState;
 
 }  // namespace
+
+int ProcessExecutor::WorkerSlot::reap() noexcept {
+  int status = 0;
+  if (pid > 0) ::waitpid(pid, &status, 0);
+  pid = -1;
+  return status;
+}
 
 ProcessExecutor::ProcessExecutor(const grid::Grid& grid,
                                  std::vector<core::DistStage> stages,
@@ -77,9 +81,8 @@ ProcessExecutor::ProcessExecutor(const grid::Grid& grid,
   controller_ = make_controller();
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   if (wake_fd_ < 0) {
-    const int err = errno;
-    throw std::runtime_error(std::string("ProcessExecutor: eventfd: ") +
-                             describe_errno(err));
+    throw std::system_error(errno, std::generic_category(),
+                            "ProcessExecutor: eventfd");
   }
 }
 
@@ -125,22 +128,20 @@ void ProcessExecutor::apply_remap(const sched::Mapping& to,
   controller_mapping_ = to;
   controller_router_.reset(stages_.size());
   const Bytes wire = comm::wire::encode_mapping(controller_mapping_);
-  for (std::size_t node = 0; node < workers_.size(); ++node) {
-    if (!workers_[node].sock.valid()) continue;  // down; respawn re-syncs it
-    workers_[node].sock.queue_frame(
+  for (std::size_t node = 0; node < slots_.size(); ++node) {
+    if (!slots_[node].up()) continue;  // a respawn boots with the new table
+    slots_[node].sock.queue_frame(
         {FrameKind::kRemap, static_cast<std::uint32_t>(node), wire});
-    if (!workers_[node].sock.flush_some()) on_worker_lost(node);
+    if (!slots_[node].sock.flush_some()) on_worker_lost(node);
   }
 }
 
-void ProcessExecutor::spawn_worker(std::size_t node,
-                                   std::uint32_t incarnation) {
+void ProcessExecutor::spawn_worker(std::size_t node) {
   auto [parent_end, child_end] = FrameSocket::make_pair();
   const int pid = ::fork();
   if (pid < 0) {
-    const int err = errno;
-    throw std::runtime_error(std::string("ProcessExecutor: fork: ") +
-                             describe_errno(err));
+    throw std::system_error(errno, std::generic_category(),
+                            "ProcessExecutor: fork");
   }
   if (pid == 0) {
     // Child: drop every parent-side fd inherited from the fork (earlier
@@ -152,7 +153,7 @@ void ProcessExecutor::spawn_worker(std::size_t node,
     // child's *copy* of the pool — harmless, and the pool's mutex is
     // only ever taken by the forking thread, so it cannot be
     // mid-operation here.)
-    for (Worker& w : workers_) w.sock.close();
+    for (WorkerSlot& slot : slots_) slot.sock.close();
     parent_end.close();
     ::close(wake_fd_);
     // Keep our own doorbell read end plus every write end; siblings'
@@ -174,7 +175,7 @@ void ProcessExecutor::spawn_worker(std::size_t node,
     ctx.flight = core_.recorder().ring(1 + node);
     ctx.health_interval = options_.health_interval;
     if (options_.recovery.faults.any()) ctx.faults = &options_.recovery.faults;
-    ctx.incarnation = incarnation;
+    ctx.incarnation = slots_[node].incarnation;
     if (rings_.valid()) {
       ctx.rings = &rings_;
       ctx.doorbell_rd = bells_[node][0];
@@ -185,12 +186,8 @@ void ProcessExecutor::spawn_worker(std::size_t node,
   child_end.close();
   parent_end.set_nonblocking(true);
   parent_end.set_pool(&pool_);
-  if (node < workers_.size()) {
-    workers_[node].pid = pid;
-    workers_[node].sock = std::move(parent_end);
-  } else {
-    workers_.push_back({pid, std::move(parent_end)});
-  }
+  slots_[node].pid = pid;
+  slots_[node].sock = std::move(parent_end);
 }
 
 void ProcessExecutor::close_parent_bells() noexcept {
@@ -209,8 +206,6 @@ void ProcessExecutor::wake() noexcept {
 }
 
 int ProcessExecutor::poll_timeout_ms(double next_epoch) const {
-  using Clock = std::chrono::steady_clock;
-  if (!dead_nodes_.empty()) return 0;
   const auto real = [this](double virtual_s) {
     return std::chrono::duration_cast<Clock::duration>(
         std::chrono::duration<double>(virtual_s * options_.time_scale));
@@ -220,10 +215,11 @@ int ProcessExecutor::poll_timeout_ms(double next_epoch) const {
     if (!until || t < *until) until = t;
   };
   const auto now = Clock::now();
-  if (options_.adapt.epoch > 0.0) earliest(core_.start() + real(next_epoch));
-  for (const auto& at : respawn_at_) {
-    if (at) earliest(*at);
+  for (const WorkerSlot& slot : slots_) {
+    if (slot.state == WorkerState::kDead) return 0;  // awaits the supervisor
+    if (slot.state == WorkerState::kRespawning) earliest(slot.respawn_at);
   }
+  if (options_.adapt.epoch > 0.0) earliest(core_.start() + real(next_epoch));
   // Four checks per stall_after window: a silence is reported at most a
   // quarter of the threshold late even when no frame arrives.
   if (options_.stall_after > 0.0) {
@@ -245,12 +241,10 @@ void ProcessExecutor::spawn_fleet() {
   // pipes *before* any fork, so every child inherits the same pages and
   // fds. Setup failure (mmap or pipe exhaustion) just disables the fast
   // path — the socket relay carries everything.
-  if (options_.shm_ring) {
-    try {
-      rings_ = ShmRingMesh(num_nodes, options_.shm_ring_bytes);
-    } catch (const std::runtime_error&) {
-      rings_ = ShmRingMesh{};
-    }
+  try {
+    rings_ = ShmRingMesh(num_nodes, options_.shm_ring_bytes);
+  } catch (const std::runtime_error&) {
+    rings_ = ShmRingMesh{};
   }
   if (rings_.valid()) {
     bells_.assign(num_nodes, {-1, -1});
@@ -267,12 +261,12 @@ void ProcessExecutor::spawn_fleet() {
     }
   }
 
-  workers_.reserve(num_nodes);
+  slots_.clear();
+  slots_.resize(num_nodes);  // kUp, incarnation 0
   for (grid::NodeId node = 0; node < num_nodes; ++node) {
     try {
-      spawn_worker(node, 0);
+      spawn_worker(node);
     } catch (...) {
-      close_parent_bells();
       kill_fleet();
       throw;
     }
@@ -285,17 +279,18 @@ void ProcessExecutor::spawn_fleet() {
   {
     util::MutexLock lock(status_mutex_);
     worker_pids_.clear();
-    for (const Worker& w : workers_) worker_pids_.push_back(w.pid);
+    for (const WorkerSlot& slot : slots_) worker_pids_.push_back(slot.pid);
     health_.reset(num_nodes, virtual_now());
   }
 }
 
-std::optional<grid::NodeId> ProcessExecutor::pick_stage0() {
+std::optional<grid::NodeId> ProcessExecutor::pick_live(std::size_t stage) {
   // Retry the pick once per replica so one down replica (respawn
-  // pending) cannot stall a replicated stage 0.
-  for (std::size_t i = 0; i < controller_mapping_.replica_count(0); ++i) {
-    const grid::NodeId dst = controller_router_.pick(controller_mapping_, 0);
-    if (worker_up(dst)) return dst;
+  // pending) cannot stall a replicated stage.
+  for (std::size_t i = 0; i < controller_mapping_.replica_count(stage); ++i) {
+    const grid::NodeId dst =
+        controller_router_.pick(controller_mapping_, stage);
+    if (slots_[dst].up()) return dst;
   }
   return std::nullopt;
 }
@@ -309,8 +304,8 @@ bool ProcessExecutor::send_task(grid::NodeId dst, std::uint64_t seq,
   comm::wire::encode_task_header_into(wire, seq, 0);
   wire.insert(wire.end(), payload.begin(), payload.end());
   comm::wire::end_frame(wire, off);
-  workers_[dst].sock.queue_buffer(std::move(wire));
-  if (workers_[dst].sock.flush_some()) return true;
+  slots_[dst].sock.queue_buffer(std::move(wire));
+  if (slots_[dst].sock.flush_some()) return true;
   on_worker_lost(dst);
   return false;
 }
@@ -341,13 +336,13 @@ void ProcessExecutor::handle_frame(std::size_t source,
       // only moves the bytes (re-framed into a pooled buffer; the view
       // dies with the next socket read).
       std::size_t dst = frame.node;
-      if (dst >= workers_.size()) {
+      if (dst >= slots_.size()) {
         kill_fleet();
         throw std::runtime_error(
             "ProcessExecutor: relay to nonexistent node " +
             std::to_string(dst));
       }
-      if (!workers_[dst].sock.valid()) {
+      if (!slots_[dst].up()) {
         // The sender routed through a stale table into a down node.
         // Re-route to a live replica of the task's stage under the
         // current mapping; when every replica is down (recovery still
@@ -356,31 +351,20 @@ void ProcessExecutor::handle_frame(std::size_t source,
         // the drop a dead hop would wedge the relay path.
         const comm::wire::TaskView task =
             comm::wire::decode_task(frame.payload);
-        std::optional<std::size_t> alt;
-        if (task.stage < controller_mapping_.num_stages()) {
-          for (const grid::NodeId r :
-               controller_mapping_.replicas(task.stage)) {
-            if (worker_up(r)) {
-              alt = r;
-              break;
-            }
-          }
-        }
+        const std::optional<grid::NodeId> alt =
+            task.stage < controller_mapping_.num_stages()
+                ? pick_live(task.stage)
+                : std::nullopt;
         if (!alt) break;
         dst = *alt;
       }
       Bytes relay = pool_.acquire();
       const std::size_t off = comm::wire::begin_frame(
           relay, frame.kind, static_cast<std::uint32_t>(dst));
-      const std::size_t at = relay.size();
-      relay.resize(at + frame.payload.size());
-      if (!frame.payload.empty()) {
-        std::memcpy(relay.data() + at, frame.payload.data(),
-                    frame.payload.size());
-      }
+      relay.insert(relay.end(), frame.payload.begin(), frame.payload.end());
       comm::wire::end_frame(relay, off);
-      workers_[dst].sock.queue_buffer(std::move(relay));
-      if (!workers_[dst].sock.flush_some()) on_worker_lost(dst);
+      slots_[dst].sock.queue_buffer(std::move(relay));
+      if (!slots_[dst].sock.flush_some()) on_worker_lost(dst);
       break;
     }
     case FrameKind::kResult: {
@@ -431,14 +415,13 @@ void ProcessExecutor::event_loop() {
   double next_epoch = epoch;
 
   // One slot per worker, then the wake eventfd.
-  std::vector<pollfd> fds(workers_.size() + 1);
+  std::vector<pollfd> fds(slots_.size() + 1);
   for (;;) {
     // Recovery housekeeping first: supervisor decisions for fresh
-    // deaths, respawns whose backoff expired, requested arrivals. All
-    // three may replan the mapping and re-admit journaled items.
+    // deaths, respawns whose backoff expired, requested arrivals. Each
+    // may replan the mapping and re-admit journaled items.
     if (recovery_on()) {
-      process_dead_nodes();
-      process_respawns();
+      process_slots();
       process_arrivals();
     }
     // Admit pushed items under the credit window, then check for the
@@ -447,7 +430,7 @@ void ProcessExecutor::event_loop() {
       // Pick the stage-0 destination before dequeueing: when recovery
       // has every replica down (respawn pending), leave the item queued
       // instead of sending bytes to a dead socket.
-      const std::optional<grid::NodeId> dst = pick_stage0();
+      const std::optional<grid::NodeId> dst = pick_live(0);
       if (!dst) break;
       // Only this thread admits or completes, so the credit checked
       // above is still there.
@@ -458,19 +441,20 @@ void ProcessExecutor::event_loop() {
 
     // Sleep until a frame, a writable socket, a wake (push, close,
     // failure or arrival) or the earliest timer the loop owns.
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      fds[i].fd = workers_[i].sock.fd();
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      fds[i].fd = slots_[i].sock.fd();  // -1 while down: poll skips it
       fds[i].events = POLLIN;
-      if (workers_[i].sock.pending_out() > 0) fds[i].events |= POLLOUT;
+      if (slots_[i].sock.pending_out() > 0) fds[i].events |= POLLOUT;
       fds[i].revents = 0;
     }
     fds.back() = {wake_fd_, POLLIN, 0};
     const int ready =
         ::poll(fds.data(), fds.size(), poll_timeout_ms(next_epoch));
     if (ready < 0 && errno != EINTR) {
+      const int err = errno;  // before kill_fleet's waitpids overwrite it
       kill_fleet();
-      throw std::runtime_error(std::string("ProcessExecutor: poll: ") +
-                               describe_errno(errno));
+      throw std::system_error(err, std::generic_category(),
+                              "ProcessExecutor: poll");
     }
     if (fds.back().revents & POLLIN) {
       // One read zeroes the counter. A wake it swallows made its state
@@ -482,19 +466,19 @@ void ProcessExecutor::event_loop() {
           ::read(wake_fd_, &count, sizeof(count));
     }
 
-    for (std::size_t i = 0; i < workers_.size() && ready > 0; ++i) {
-      if (!workers_[i].sock.valid()) continue;  // detached this tick
+    for (std::size_t i = 0; i < slots_.size() && ready > 0; ++i) {
+      if (!slots_[i].up()) continue;  // detached this tick
       if (fds[i].revents & POLLOUT) {
-        if (!workers_[i].sock.flush_some()) {
+        if (!slots_[i].sock.flush_some()) {
           on_worker_lost(i);
           continue;
         }
       }
       if (fds[i].revents & (POLLIN | POLLHUP | POLLERR)) {
-        const bool alive = workers_[i].sock.pump_reads();
+        const bool alive = slots_[i].sock.pump_reads();
         // Drain complete frames first: the final bytes before an EOF may
         // still carry results.
-        while (auto frame = workers_[i].sock.next_frame_view()) {
+        while (auto frame = slots_[i].sock.next_frame_view()) {
           handle_frame(i, *frame);
         }
         if (!alive && !core_.done()) on_worker_lost(i);
@@ -554,9 +538,9 @@ void ProcessExecutor::shutdown_fleet() {
   // A healthy worker exits promptly on kShutdown; the deadline only
   // guards against a wedged one (then: SIGKILL, still reaped).
   const auto deadline = steady_clock::now() + seconds(10);
-  for (std::size_t node = 0; node < workers_.size(); ++node) {
-    Worker& w = workers_[node];
-    if (!w.sock.valid()) continue;  // detached (dead/degraded) under recovery
+  for (std::size_t node = 0; node < slots_.size(); ++node) {
+    WorkerSlot& w = slots_[node];
+    if (!w.up()) continue;  // detached under recovery: already reaped
     w.sock.queue_frame(
         {FrameKind::kShutdown, static_cast<std::uint32_t>(node), {}});
     // Flush the farewell, then drain to EOF so a worker mid-write can
@@ -589,53 +573,29 @@ void ProcessExecutor::shutdown_fleet() {
     }
     if (peer_up) ::kill(w.pid, SIGKILL);  // deadline hit: wedge insurance
     w.sock.close();
-    int status = 0;
-    ::waitpid(w.pid, &status, 0);
-    w.pid = -1;
+    w.reap();
   }
-  workers_.clear();
-  close_parent_bells();
-  rings_ = ShmRingMesh{};  // every child unmapped its own view on exit
+  kill_fleet();  // all reaped: just drops the slots, bells and rings
 }
 
 void ProcessExecutor::kill_fleet() noexcept {
-  for (Worker& w : workers_) {
-    w.sock.close();
-    if (w.pid > 0) {
-      ::kill(w.pid, SIGKILL);
-      int status = 0;
-      ::waitpid(w.pid, &status, 0);
-      w.pid = -1;
-    }
+  for (WorkerSlot& slot : slots_) {
+    slot.sock.close();
+    if (slot.pid > 0) ::kill(slot.pid, SIGKILL);
+    slot.reap();
   }
-  workers_.clear();
+  slots_.clear();
   close_parent_bells();
   rings_ = ShmRingMesh{};
 }
 
-void ProcessExecutor::fail_run(std::size_t node) {
-  int status = 0;
-  ::waitpid(workers_[node].pid, &status, 0);
-  workers_[node].pid = -1;
+void ProcessExecutor::fail_run(std::size_t node, const std::string& what) {
   kill_fleet();
   std::string message = "ProcessExecutor: worker for node " +
-                        std::to_string(node) + " exited mid-run (" +
-                        describe_wait_status(status) + ")";
+                        std::to_string(node) + " " + what;
   // The victim's flight-recorder lane lives in the parent's MAP_SHARED
   // mapping, so its last events survive the death: attach the decoded
-  // tail so the crash explains what the worker was doing.
-  const std::string tail = core_.recorder().format_tail(1 + node, 32);
-  if (!tail.empty()) {
-    message += "; last flight events:\n" + tail;
-  }
-  throw std::runtime_error(message);
-}
-
-void ProcessExecutor::fail_lost(std::size_t node, const std::string& why) {
-  kill_fleet();
-  std::string message = "ProcessExecutor: worker for node " +
-                        std::to_string(node) + " lost and not recoverable (" +
-                        why + ")";
+  // tail so the failure explains what the worker was doing.
   const std::string tail = core_.recorder().format_tail(1 + node, 32);
   if (!tail.empty()) {
     message += "; last flight events:\n" + tail;
@@ -646,28 +606,18 @@ void ProcessExecutor::fail_lost(std::size_t node, const std::string& why) {
 // ------------------------------------------------------------- recovery
 
 void ProcessExecutor::on_worker_lost(std::size_t node) {
-  if (recovery_on()) {
-    mark_worker_dead(node);
-  } else {
-    fail_run(node);
-  }
-}
-
-void ProcessExecutor::mark_worker_dead(std::size_t node) {
-  Worker& w = workers_[node];
-  if (w.pid <= 0 && !w.sock.valid()) return;  // already detached
+  WorkerSlot& slot = slots_[node];
+  if (!slot.up()) return;  // already detached
+  // Reaped here, before fail_run's kill_fleet could reap it unseen.
+  const std::string how =
+      slot.pid > 0 ? describe_wait_status(slot.reap()) : "socket gone";
+  if (!recovery_on()) fail_run(node, "exited mid-run (" + how + ")");
   const double vnow = virtual_now();
-  std::string how = "socket gone";
-  if (w.pid > 0) {
-    int status = 0;
-    ::waitpid(w.pid, &status, 0);
-    how = describe_wait_status(status);
-    w.pid = -1;
-  }
   // Scoped teardown: only this worker's resources. close() recycles its
   // queued outbound buffers into the pool; the fd drops out of the poll
   // set via fd() == -1. The rest of the fleet keeps streaming.
-  w.sock.close();
+  slot.sock.close();
+  slot.move_to(WorkerState::kDead);
   node_losses_.fetch_add(1, std::memory_order_relaxed);
   if (core_.obs_metrics().node_losses) core_.obs_metrics().node_losses->add(1);
   core_.flight(obs::FlightKind::kDeath, vnow, static_cast<std::uint32_t>(node));
@@ -687,45 +637,45 @@ void ProcessExecutor::mark_worker_dead(std::size_t node) {
   for (const std::uint64_t seq : journal_.live_seqs()) {
     recovering_.insert(seq);
   }
-  dead_nodes_.push_back(node);
 }
 
-void ProcessExecutor::process_dead_nodes() {
-  while (!dead_nodes_.empty()) {
-    const std::size_t node = dead_nodes_.front();
-    dead_nodes_.pop_front();
-    if (worker_up(node) || node_degraded_[node]) continue;  // stale entry
-    const recover::Supervisor::Action action = supervisor_.on_death(node);
-    switch (action.kind) {
-      case recover::Supervisor::ActionKind::kRespawn: {
-        const auto delay = std::chrono::duration_cast<
-            std::chrono::steady_clock::duration>(
-            std::chrono::duration<double, std::milli>(action.delay_ms));
-        respawn_at_[node] = std::chrono::steady_clock::now() + delay;
-        util::log_info("gridpipe: respawning worker ", node, " in ",
-                       action.delay_ms, " ms (attempt ",
-                       supervisor_.respawns(node), ")");
-        break;
+void ProcessExecutor::process_slots() {
+  // A degrade, fork or replay below may lose a further worker; one this
+  // pass already went by waits for the next (the poll timeout is zero).
+  const auto now = Clock::now();
+  for (std::size_t node = 0; node < slots_.size(); ++node) {
+    WorkerSlot& slot = slots_[node];
+    if (slot.state == WorkerState::kDead) {
+      const recover::Supervisor::Action action = supervisor_.on_death(node);
+      switch (action.kind) {
+        case recover::Supervisor::ActionKind::kRespawn:
+          slot.move_to(WorkerState::kRespawning);
+          slot.respawn_at =
+              now + std::chrono::duration_cast<Clock::duration>(
+                        std::chrono::duration<double, std::milli>(
+                            action.delay_ms));
+          util::log_info("gridpipe: respawning worker ", node, " in ",
+                         action.delay_ms, " ms (attempt ",
+                         supervisor_.respawns(node), ")");
+          break;
+        case recover::Supervisor::ActionKind::kDegrade:
+          util::log_warn("gridpipe: respawn budget for worker ", node,
+                         " exhausted; degrading to the surviving grid");
+          slot.move_to(WorkerState::kDegraded);
+          degrade_node(node);
+          break;
+        case recover::Supervisor::ActionKind::kFail:
+          fail_run(node, "lost and not recoverable (respawn budget "
+                         "exhausted, degrade disabled)");
       }
-      case recover::Supervisor::ActionKind::kDegrade:
-        util::log_warn("gridpipe: respawn budget for worker ", node,
-                       " exhausted; degrading to the surviving grid");
-        degrade_node(node);
-        break;
-      case recover::Supervisor::ActionKind::kFail:
-        fail_lost(node, "respawn budget exhausted, degrade disabled");
     }
-  }
-}
-
-void ProcessExecutor::process_respawns() {
-  const auto now = std::chrono::steady_clock::now();
-  for (std::size_t node = 0; node < respawn_at_.size(); ++node) {
-    if (!respawn_at_[node] || *respawn_at_[node] > now) continue;
-    respawn_at_[node].reset();
-    if (respawn_worker(node) && !recovering_.empty()) {
-      replay_recovering_items();
+    if (slot.state != WorkerState::kRespawning || slot.respawn_at > now) {
+      continue;
     }
+    // A failed fork goes back to the supervisor (its budget ticks).
+    const bool forked = respawn_worker(node);
+    slot.move_to(forked ? WorkerState::kUp : WorkerState::kDead);
+    if (forked) replay_in_flight();
   }
 }
 
@@ -736,19 +686,17 @@ void ProcessExecutor::process_arrivals() {
     requests.swap(arrivals_);
   }
   for (const std::size_t node : requests) {
-    if (node >= workers_.size() || worker_up(node)) continue;
-    const bool was_recovering = respawn_at_[node].has_value();
-    respawn_at_[node].reset();
-    node_degraded_[node] = 0;
+    if (node >= slots_.size() || slots_[node].up()) continue;
+    // A failed fork leaves the slot as it was: a dead node still goes
+    // to the supervisor, a respawning one keeps its deadline.
+    const WorkerState from = slots_[node].state;
+    if (!respawn_worker(node)) continue;
+    slots_[node].move_to(WorkerState::kUp);
     supervisor_.on_arrival(node);
     controller_->on_node_arrival(node);
-    if (!respawn_worker(node)) continue;
     run_churn_remap(control::AdaptationTrigger::kNodeArrival,
                     "node " + std::to_string(node) + " joined");
-    // An arrival that doubled as the pending respawn still owes the
-    // replay; a node growing back after a clean degrade does not (its
-    // lost items were already replayed onto the survivors).
-    if (was_recovering && !recovering_.empty()) replay_recovering_items();
+    if (recover::arrival_owes_replay(from)) replay_in_flight();
   }
 }
 
@@ -766,7 +714,7 @@ bool ProcessExecutor::respawn_worker(std::size_t node) {
       }
     }
   }
-  const std::uint32_t incarnation = ++incarnation_[node];
+  const std::uint32_t incarnation = ++slots_[node].incarnation;
   const double vnow = virtual_now();
   // Single-writer handoff on the worker's own flight lane: the old
   // incarnation is dead, the new one not yet forked, so this instant the
@@ -778,31 +726,29 @@ bool ProcessExecutor::respawn_worker(std::size_t node) {
   core_.flight(obs::FlightKind::kRespawn, vnow,
                static_cast<std::uint32_t>(node), incarnation);
   try {
-    spawn_worker(node, incarnation);
+    spawn_worker(node);
   } catch (const std::runtime_error& error) {
     util::log_warn("gridpipe: respawn of worker ", node,
                    " failed: ", error.what());
-    dead_nodes_.push_back(node);  // back to the supervisor (budget ticks)
     return false;
   }
   respawns_.fetch_add(1, std::memory_order_relaxed);
   if (core_.obs_metrics().respawns) core_.obs_metrics().respawns->add(1);
   {
     util::MutexLock lock(status_mutex_);
-    if (node < worker_pids_.size()) worker_pids_[node] = workers_[node].pid;
+    if (node < worker_pids_.size()) worker_pids_[node] = slots_[node].pid;
     health_.on_respawn(node, virtual_now());
   }
   util::log_info("gridpipe: worker ", node, " respawned (incarnation ",
-                 incarnation, ", pid ", workers_[node].pid, ")");
+                 incarnation, ", pid ", slots_[node].pid, ")");
   return true;
 }
 
 void ProcessExecutor::degrade_node(std::size_t node) {
-  node_degraded_[node] = 1;
-  respawn_at_[node].reset();
   controller_->on_node_loss(node);
   if (controller_->nodes_available() == 0) {
-    fail_lost(node, "no surviving nodes to degrade onto");
+    fail_run(node, "lost and not recoverable (no surviving nodes to "
+                   "degrade onto)");
   }
   // Close the consumer side of every ring into the dead node so a
   // straggling producer fails fast to the socket path (where the parent
@@ -815,7 +761,7 @@ void ProcessExecutor::degrade_node(std::size_t node) {
   }
   run_churn_remap(control::AdaptationTrigger::kNodeLoss,
                   "node " + std::to_string(node) + " lost");
-  if (!recovering_.empty()) replay_recovering_items();
+  replay_in_flight();
 }
 
 void ProcessExecutor::run_churn_remap(control::AdaptationTrigger why,
@@ -829,40 +775,32 @@ void ProcessExecutor::run_churn_remap(control::AdaptationTrigger why,
   // deployed mapping still touches a degraded node (a mapper is free to
   // ignore zeroed speeds), force a block layout over the survivors.
   bool touches_degraded = false;
-  for (std::size_t s = 0;
-       s < controller_mapping_.num_stages() && !touches_degraded; ++s) {
-    for (const grid::NodeId r : controller_mapping_.replicas(s)) {
-      if (node_degraded_[r] != 0) {
-        touches_degraded = true;
-        break;
-      }
+  std::vector<grid::NodeId> survivors;
+  for (grid::NodeId n = 0; n < slots_.size(); ++n) {
+    if (slots_[n].state != WorkerState::kDegraded) {
+      survivors.push_back(n);
+    } else if (controller_mapping_.stages_on(n) > 0) {
+      touches_degraded = true;
     }
   }
-  if (touches_degraded) {
-    std::vector<grid::NodeId> survivors;
-    for (grid::NodeId n = 0; n < grid_.num_nodes(); ++n) {
-      if (node_degraded_[n] == 0) survivors.push_back(n);
-    }
-    std::vector<grid::NodeId> stage_to_node(stages_.size());
-    for (std::size_t s = 0; s < stages_.size(); ++s) {
-      stage_to_node[s] =
-          survivors[s * survivors.size() / stages_.size()];
-    }
-    apply_remap(sched::Mapping(std::move(stage_to_node)), 0.0);
+  if (!touches_degraded) return;
+  std::vector<grid::NodeId> stage_to_node(stages_.size());
+  for (std::size_t s = 0; s < stages_.size(); ++s) {
+    stage_to_node[s] = survivors[s * survivors.size() / stages_.size()];
   }
+  apply_remap(sched::Mapping(std::move(stage_to_node)), 0.0);
 }
 
-void ProcessExecutor::replay_recovering_items() {
-  // Re-admit, in seq order, every item that was in flight at a death and
-  // is still journaled. At-least-once: an item that actually survived on
-  // a live worker will come back twice and the dedup retire drops the
-  // loser. Replays bypass the credit window on purpose — these items
-  // already held credits when they were lost.
-  std::vector<std::uint64_t> seqs(recovering_.begin(), recovering_.end());
-  for (const std::uint64_t seq : seqs) {
+void ProcessExecutor::replay_in_flight() {
+  // Re-admit, in seq order, every journaled item: those in flight at the
+  // death, and those admitted while the node was down, which a stale
+  // worker table or a ring into the dead consumer may have routed into
+  // it. At-least-once: an item that actually survived on a live worker
+  // will come back twice and the dedup retire drops the loser. Replays
+  // bypass the credit window on purpose — these items hold credits.
+  for (const std::uint64_t seq : journal_.live_seqs()) {
     const recover::ReplayJournal::Entry* entry = journal_.find(seq);
-    if (entry == nullptr) continue;  // delivered while we were deciding
-    const std::optional<grid::NodeId> dst = pick_stage0();
+    const std::optional<grid::NodeId> dst = pick_live(0);
     // Another node is down with its own recovery pending; that recovery
     // ends in a replay too, so deferring is safe.
     if (!dst) return;
@@ -925,10 +863,6 @@ void ProcessExecutor::stream_begin() {
   }
   journal_.clear();
   supervisor_.reset(options_.recovery.respawn, grid_.num_nodes());
-  dead_nodes_.clear();
-  respawn_at_.assign(grid_.num_nodes(), std::nullopt);
-  incarnation_.assign(grid_.num_nodes(), 0);
-  node_degraded_.assign(grid_.num_nodes(), 0);
   recovering_.clear();
   recovery_started_v_ = 0.0;
   recovery_times_.clear();

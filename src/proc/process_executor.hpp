@@ -41,24 +41,19 @@
 // is a batch wrapper over one stream.
 //
 // Fault tolerance (options.recovery.enabled): a worker death no longer
-// fails the run. Every admitted item is journaled (seq, payload) until
-// its result reaches the ordered output buffer; on a death the parent
-// detaches just the dead worker (reap, close, recycle its queued
-// buffers), marks the node down, and asks the recover::Supervisor what
-// to do — respawn (fork a replacement after backoff, same node, next
-// incarnation) or degrade (run a node-loss churn epoch so the mapping
-// shrinks onto the survivors). Either way every journaled item that was
-// in flight when the node died is re-admitted from stage 0
-// (at-least-once re-execution); the journal retire doubles as the dedup
-// filter in front of the core's ordered buffer, so a replay racing its
-// original past the crash still delivers exactly once and the ordered
-// output matches a crash-free run byte for byte. request_arrival() is the inverse event: a degraded (or fresh)
-// node rejoins, the supervisor forks a worker for it and a node-arrival
-// churn epoch lets the mapping grow back — the elastic half of the
-// paper's adaptive grid story.
-//
-// Configuration is the shared rt::RuntimeOptions; this substrate alone
-// reads its shm_ring*, health_interval, stall_after and recovery knobs.
+// fails the run. Each node has one WorkerSlot whose recover::WorkerState
+// is the controller's only record of whether it is up. A lost worker is
+// reaped and detached (kDead); the recover::Supervisor then either
+// schedules a respawn (kRespawning: fork incarnation+1 after backoff,
+// kUp again) or gives the node up (kDegraded: a node-loss churn epoch
+// shrinks the mapping onto the survivors). request_arrival() brings a
+// dead, respawning or degraded node back (kUp) and runs a node-arrival
+// churn epoch, the elastic half of the paper's adaptive grid. Every
+// admitted item is journaled until its result reaches the ordered
+// output; whenever a lost node's fate is settled, every undelivered
+// item (in flight at the death or admitted since) is re-admitted from
+// stage 0 (at-least-once), and the journal retire drops the duplicates,
+// so the output matches a crash-free run byte for byte.
 //
 // fork() constraints: call stream_begin()/run() from a process where no
 // other threads are live (fork only carries the calling thread; a lock
@@ -69,7 +64,6 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <set>
@@ -87,6 +81,7 @@
 #include "proc/transport.hpp"
 #include "recover/journal.hpp"
 #include "recover/supervisor.hpp"
+#include "recover/worker_state.hpp"
 #include "rt/options.hpp"
 #include "sched/replica_router.hpp"
 #include "util/json.hpp"
@@ -101,7 +96,7 @@ class ProcessExecutor : private control::AdaptationHost {
  public:
   /// Stage vector is the same Bytes → Bytes contract the
   /// DistributedExecutor takes, so one scenario drives both substrates.
-  /// Reads time_scale, window, adapt, emulate_compute, obs, shm_ring,
+  /// Reads time_scale, window, adapt, emulate_compute, obs,
   /// shm_ring_bytes, health_interval, stall_after and recovery from
   /// `options`. Throws std::invalid_argument on an empty stage vector, a
   /// mapping that does not fit, or a time_scale that is not finite and
@@ -148,9 +143,23 @@ class ProcessExecutor : private control::AdaptationHost {
   std::string flight_tail(std::size_t lane, std::size_t max_events) const;
 
  private:
-  struct Worker {
+  /// One grid node's worker. `state` is the controller thread's only
+  /// record of whether the node is up: pid and sock are live only in
+  /// kUp, respawn_at is meaningful only in kRespawning.
+  struct WorkerSlot {
+    recover::WorkerState state = recover::WorkerState::kUp;
     int pid = -1;
     FrameSocket sock;
+    std::uint32_t incarnation = 0;
+    std::chrono::steady_clock::time_point respawn_at{};
+
+    bool up() const noexcept { return state == recover::WorkerState::kUp; }
+    /// Follows a legal edge; recover::transition throws on any other.
+    void move_to(recover::WorkerState to) {
+      state = recover::transition(state, to);
+    }
+    /// waitpid()s the worker; its wait status (0 when it has no pid).
+    int reap() noexcept;
   };
 
   // control::AdaptationHost (called from the parent's epoch loop).
@@ -164,21 +173,22 @@ class ProcessExecutor : private control::AdaptationHost {
   std::unique_ptr<control::AdaptationController> make_controller();
 
   void spawn_fleet();
-  /// Forks one worker for `node` (initial fleet and respawns share this
-  /// path; a respawn forks from the controller thread, which is safe:
-  /// fork copies only the calling thread, and the child touches nothing
-  /// another parent thread could hold locked — its own pool, its own
-  /// socket, read-only config, and MAP_SHARED pages). Throws
-  /// std::runtime_error if fork fails; the caller decides cleanup.
-  void spawn_worker(std::size_t node, std::uint32_t incarnation);
+  /// Forks slot `node`'s incarnation into its pid and socket (initial
+  /// fleet and respawns share this path; a respawn forks from the
+  /// controller thread, which is safe: fork copies only the calling
+  /// thread, and the child touches nothing another parent thread could
+  /// hold locked — its own pool, its own socket, read-only config, and
+  /// MAP_SHARED pages). Throws std::runtime_error if fork fails; the
+  /// caller decides cleanup.
+  void spawn_worker(std::size_t node);
   /// Controller-thread entry: event_loop + graceful shutdown, with any
   /// failure captured into the stream core.
   void controller_main();
   void event_loop();
   void handle_frame(std::size_t source, const comm::wire::FrameView& frame);
-  /// A live stage-0 replica (each replica tried once in router order),
-  /// or nullopt while every one is down.
-  std::optional<grid::NodeId> pick_stage0();
+  /// A live replica of `stage` (each tried once in router order), or
+  /// nullopt while every one is down.
+  std::optional<grid::NodeId> pick_live(std::size_t stage);
   /// Queues a stage-0 task frame to `dst` and flushes; false when the
   /// write found `dst` dead (already handed to on_worker_lost).
   bool send_task(grid::NodeId dst, std::uint64_t seq, core::ByteSpan payload);
@@ -188,44 +198,38 @@ class ProcessExecutor : private control::AdaptationHost {
   void shutdown_fleet();
   /// Crash path and destructor safety net: SIGKILL + reap, noexcept.
   void kill_fleet() noexcept;
-  /// Reaps worker `node` and throws with its wait status.
-  [[noreturn]] void fail_run(std::size_t node);
+  /// Kills the fleet and throws "worker for node N <what>" with the
+  /// node's flight tail attached.
+  [[noreturn]] void fail_run(std::size_t node, const std::string& what);
 
   // ---- recovery machinery (controller thread only) ----
   bool recovery_on() const noexcept { return options_.recovery.enabled; }
-  bool worker_up(std::size_t node) const noexcept {
-    return node < workers_.size() && workers_[node].sock.valid();
-  }
-  /// A socket write to `node` just failed (or its socket hit EOF):
-  /// either detach-and-recover (recovery on) or fail the run.
+  /// A socket write to `node` just failed (or its socket hit EOF).
+  /// Recovery off: fail the run. On: up → dead — reap and detach the
+  /// worker (close + recycle its queued buffers), mark the node down,
+  /// open the recovery window. No-op for a slot that is not up.
   void on_worker_lost(std::size_t node);
-  /// Reaps and detaches one dead worker: close + recycle its queued
-  /// buffers, mark the node down, open the recovery window, queue the
-  /// node for a supervisor decision.
-  void mark_worker_dead(std::size_t node);
-  /// Drains the dead-node queue through the supervisor (respawn with
-  /// backoff, degrade, or give up and fail the run).
-  void process_dead_nodes();
-  /// Forks replacements whose backoff deadline has passed.
-  void process_respawns();
+  /// Steps the slots awaiting the controller: a kDead one goes to the
+  /// supervisor (respawn with backoff, degrade, or fail the run), a
+  /// kRespawning one whose backoff has passed is forked.
+  void process_slots();
   /// Consumes request_arrival() requests: fork + node-arrival epoch.
   void process_arrivals();
   /// Forks incarnation+1 for `node` (after draining its incoming rings
-  /// so the replacement's frame readers start frame-aligned).
-  /// Returns false if the fork failed (node re-queued for the
-  /// supervisor).
+  /// so the replacement's frame readers start frame-aligned). Returns
+  /// false if the fork failed; the caller moves the slot either way.
   bool respawn_worker(std::size_t node);
-  /// Gives up on `node`: mask it out of the controller's availability
-  /// set and run a node-loss churn epoch so the mapping shrinks onto
-  /// the survivors. Throws if no nodes survive.
+  /// Gives up on a just-degraded `node`: mask it out of the controller's
+  /// availability set and run a node-loss churn epoch so the mapping
+  /// shrinks onto the survivors. Throws if no nodes survive.
   void degrade_node(std::size_t node);
   /// Forced (gate-bypassing) replan for grid churn, plus a hard
   /// executor-side guard: if the chosen mapping still touches an
   /// unavailable node, fall back to a block mapping over survivors.
   void run_churn_remap(control::AdaptationTrigger why, std::string event);
-  /// Re-admits from stage 0 every journaled item that was in flight
-  /// when a death was detected and has not since been delivered.
-  void replay_recovering_items();
+  /// Re-admits from stage 0 every journaled (undelivered) item; called
+  /// once a lost node's fate is settled (respawned, arrived, degraded).
+  void replay_in_flight();
   /// Delivery-side recovery bookkeeping: closes the recovery window
   /// once every item live at death detection has been delivered.
   void note_retired(std::uint64_t item, double vnow);
@@ -240,7 +244,6 @@ class ProcessExecutor : private control::AdaptationHost {
   /// (no timeout) when it owns none, 0 when a death awaits the
   /// supervisor.
   int poll_timeout_ms(double next_epoch) const;
-  [[noreturn]] void fail_lost(std::size_t node, const std::string& why);
 
   const grid::Grid& grid_;
   std::vector<core::DistStage> stages_;
@@ -260,19 +263,20 @@ class ProcessExecutor : private control::AdaptationHost {
   /// (Internally synchronized; no GUARDED_BY needed.)
   comm::wire::BufferPool pool_;
   /// Worker↔worker shared-memory rings, mapped before the fleet forks;
-  /// invalid when the knob is off or setup failed (pure socket mode).
+  /// invalid when setup failed (pure socket mode).
   ShmRingMesh rings_;
   sched::PipelineProfile profile_;
   std::unique_ptr<control::AdaptationController> controller_;
   sched::Mapping controller_mapping_;
   sched::ReplicaRouter controller_router_;
-  std::vector<Worker> workers_;
+  std::vector<WorkerSlot> slots_;  // one per grid node while a fleet lives
 
   // Health / live-status state, shared between the controller thread
   // (writer) and status() callers (readers). Uncontended in steady
   // state: the controller takes the lock a few times per poll tick.
   mutable util::Mutex status_mutex_;
   obs::HealthTracker health_ GRIDPIPE_GUARDED_BY(status_mutex_);
+  /// Published copy of the slots' pids (-1 while down) for other threads.
   std::vector<int> worker_pids_ GRIDPIPE_GUARDED_BY(status_mutex_);
   /// Nodes request_arrival() asked the controller thread to bring up.
   std::vector<std::size_t> arrivals_ GRIDPIPE_GUARDED_BY(status_mutex_);
@@ -281,15 +285,6 @@ class ProcessExecutor : private control::AdaptationHost {
   // counters for status()/stream_finish() readers) ----
   recover::ReplayJournal journal_;
   recover::Supervisor supervisor_;
-  /// Deaths detected but not yet taken to the supervisor.
-  std::deque<std::size_t> dead_nodes_;
-  /// Respawn deadline per node (steady_clock; nullopt = none pending).
-  std::vector<std::optional<std::chrono::steady_clock::time_point>>
-      respawn_at_;
-  std::vector<std::uint32_t> incarnation_;
-  /// Nodes degraded out of the mapping (mirror of the controller's
-  /// availability mask, consulted on the relay hot path).
-  std::vector<char> node_degraded_;
   /// Items in flight when a death was detected; the recovery window
   /// closes (and its duration is recorded) when all are delivered.
   std::set<std::uint64_t> recovering_;

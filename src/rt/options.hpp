@@ -33,13 +33,12 @@ struct RuntimeOptions {
   bool emulate_compute = true;
   /// Probe-noise RNG seed on the threads runtime.
   std::uint64_t seed = 1;
-  /// Process runtime: carry worker→worker hops over a shared-memory
-  /// ring per ordered worker pair (mapped before fork) instead of
-  /// relaying through the parent's sockets. Falls back to the socket
-  /// path per frame whenever a ring is full (or the mesh could not be
-  /// mapped), so correctness never depends on it.
-  bool shm_ring = true;
-  /// Process runtime: payload capacity of each ring, in bytes.
+  /// Process runtime: payload capacity, in bytes, of the shared-memory
+  /// ring per ordered worker pair (mapped before fork) that carries
+  /// worker→worker hops instead of the parent's socket relay. A frame
+  /// falls back to the socket path whenever its ring is full, and every
+  /// frame does when the mesh cannot be mapped (e.g. a capacity whose
+  /// size overflows), so correctness never depends on the rings.
   std::size_t shm_ring_bytes = std::size_t{1} << 18;
   /// Deployment-time mapping override. Unset: the planner's t = 0 pick
   /// (control::choose_mapping with `adapt`'s mapper knobs). The sim

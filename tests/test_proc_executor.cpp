@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -628,7 +629,9 @@ TEST(ProcessExecutor, OnChangeTriggerReactsToLoadStep) {
 TEST(ProcessExecutor, RingDisabledStillCorrect) {
   const auto g = grid::uniform_cluster(3, 1.0, 1e-3, 1e8);
   rt::RuntimeOptions config = fast_proc_config();
-  config.shm_ring = false;  // pure socket-relay mode
+  // Unmappable ring size: the mesh is refused like an mmap failure, so
+  // the run falls back to pure socket-relay mode.
+  config.shm_ring_bytes = std::numeric_limits<std::size_t>::max() - 10;
   ProcessExecutor executor(g, arithmetic_stages(),
                            sched::Mapping(std::vector<NodeId>{0, 1, 2}),
                            config);

@@ -1,19 +1,26 @@
 // Tests for src/recover/ — the fault-tolerance subsystem. The unit half
 // pins the pure pieces without a single fork (FaultPlan grammar and
 // determinism, ReplayJournal at-least-once bookkeeping, Supervisor
-// decision table, OrderedDedupBuffer exactly-once reordering, and the
-// HealthTracker respawn re-arm). The integration half forks real
-// worker fleets through the ProcessExecutor with recovery enabled and
-// asserts the headline property end to end: a SIGKILLed worker
-// mid-stream — whether respawned or degraded around — still yields
-// output byte-identical to the crash-free run, exactly once, in order.
+// decision table, the WorkerState transition table, OrderedDedupBuffer
+// exactly-once reordering, and the HealthTracker respawn re-arm). The
+// integration half forks real worker fleets through the ProcessExecutor
+// with recovery enabled and asserts the headline property end to end: a
+// SIGKILLed worker mid-stream — whether respawned or degraded around —
+// still yields output byte-identical to the crash-free run, exactly
+// once, in order.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <functional>
+#include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include <signal.h>
 #include <unistd.h>
@@ -26,6 +33,7 @@
 #include "recover/fault.hpp"
 #include "recover/journal.hpp"
 #include "recover/supervisor.hpp"
+#include "recover/worker_state.hpp"
 #include "rt/runtime.hpp"
 
 namespace gridpipe::recover {
@@ -174,6 +182,61 @@ TEST(Supervisor, ExhaustWithoutDegradeFailsAndArrivalResets) {
   supervisor.on_arrival(0);
   EXPECT_EQ(supervisor.respawns(0), 0u);
   EXPECT_EQ(supervisor.on_death(0).kind, Supervisor::ActionKind::kRespawn);
+}
+
+// --------------------------------------------------------- WorkerState
+
+TEST(WorkerState, EveryLegalEdgeIsAcceptedAndEveryOtherThrows) {
+  // Two cases a forking test only hits by timing accident: a kill during
+  // a respawn makes the fork fail (respawning → dead, legal: back to the
+  // supervisor), and a kill during a degrade finds no worker left to
+  // lose (degraded → dead, illegal: only up slots are lost). No
+  // self-loop is an edge.
+  using S = WorkerState;
+  constexpr S kAll[] = {S::kUp, S::kDead, S::kRespawning, S::kDegraded};
+  const std::vector<std::pair<S, S>> legal = {
+      {S::kUp, S::kDead},            // worker lost
+      {S::kDead, S::kRespawning},    // supervisor: respawn
+      {S::kDead, S::kDegraded},      // supervisor: degrade
+      {S::kRespawning, S::kUp},      // replacement forked
+      {S::kRespawning, S::kDead},    // kill during respawn: fork failed
+      {S::kDead, S::kUp},            // arrival before the supervisor ran
+      {S::kDegraded, S::kUp},        // arrival after a degrade
+  };
+  std::size_t accepted = 0;
+  for (const S from : kAll) {
+    for (const S to : kAll) {
+      const bool is_legal =
+          std::find(legal.begin(), legal.end(), std::make_pair(from, to)) !=
+          legal.end();
+      if (is_legal) {
+        EXPECT_EQ(transition(from, to), to)
+            << to_string(from) << " -> " << to_string(to);
+        ++accepted;
+      } else {
+        EXPECT_THROW(transition(from, to), std::logic_error)
+            << to_string(from) << " -> " << to_string(to);
+      }
+    }
+  }
+  EXPECT_EQ(accepted, legal.size());
+  try {
+    transition(S::kDegraded, S::kDead);
+  } catch (const std::logic_error& error) {
+    EXPECT_NE(std::string(error.what()).find("degraded -> dead"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(WorkerState, ArrivalOwesAReplayOnlyFromDeadOrRespawning) {
+  // A dead node's items were never replayed (the supervisor has not run),
+  // a respawning node's replay was due at the fork the arrival replaces;
+  // a degraded node's items were replayed onto the survivors already.
+  EXPECT_TRUE(arrival_owes_replay(WorkerState::kDead));
+  EXPECT_TRUE(arrival_owes_replay(WorkerState::kRespawning));
+  EXPECT_FALSE(arrival_owes_replay(WorkerState::kDegraded));
+  EXPECT_FALSE(arrival_owes_replay(WorkerState::kUp));  // no arrival at all
 }
 
 // ------------------------------------------------- OrderedDedupBuffer
@@ -483,6 +546,85 @@ TEST(RecoverIntegration, NodeArrivalRejoinsDegradedNode) {
   }
   EXPECT_EQ(report.node_losses, 1u);
   EXPECT_EQ(report.respawns, 1u);  // the arrival fork counts as a respawn
+}
+
+// Node 1 dies at item 5 while its respawn backs off, so the slot sits in
+// kRespawning. Meanwhile node 2 (the slow last stage) finishes the items
+// queued past node 1, which frees credits, and the items admitted with
+// them are routed into the dead node. Whatever brings node 1 back owes
+// the replay of every item lost on the way: those in flight at the death
+// and those admitted since. `after_death` runs once the death is seen;
+// the outputs that come back within 20 s are returned. A stalled
+// executor is leaked: its finish would never return.
+std::vector<Bytes> stream_across_backoff(
+    double backoff_ms,
+    const std::function<void(proc::ProcessExecutor&)>& after_death,
+    core::RunReport& report) {
+  const auto g = grid::uniform_cluster(3, 1.0, 1e-3, 1e8);
+  rt::RuntimeOptions config = recovering_config();
+  config.recovery.respawn.backoff_ms = backoff_ms;
+  config.recovery.faults.kills = {{/*node=*/1, /*item=*/5}};
+  auto executor = std::make_unique<proc::ProcessExecutor>(
+      g, arithmetic_stages(/*last_stage_work=*/0.2),
+      sched::Mapping(std::vector<NodeId>{0, 1, 2}), config);
+  executor->stream_begin();
+  for (int i = 0; i < 30; ++i) executor->stream_push(bytes_of_int(i));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (executor->worker_pids().at(1) != -1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  after_death(*executor);
+  std::vector<Bytes> outputs;
+  while (outputs.size() < 30 && std::chrono::steady_clock::now() < deadline) {
+    if (auto out = executor->stream_try_pop()) {
+      outputs.push_back(std::move(*out));
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  if (outputs.size() != 30u) {
+    executor.release();
+    return outputs;
+  }
+  executor->stream_close();
+  report = executor->stream_finish();
+  return outputs;
+}
+
+TEST(RecoverIntegration, ArrivalDuringRespawnBackoffReplaysLostItems) {
+  // A ten-minute backoff: the arrival replaces the pending respawn.
+  core::RunReport report;
+  const std::vector<Bytes> outputs = stream_across_backoff(
+      600'000.0,
+      [](proc::ProcessExecutor& executor) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        executor.request_arrival(1);
+      },
+      report);
+  ASSERT_EQ(outputs.size(), 30u) << "the arrival skipped the replay it owed";
+  for (int i = 0; i < 30; ++i) {
+    EXPECT_EQ(int_of_bytes(outputs[static_cast<std::size_t>(i)]),
+              (i + 1) * 3 - 1)
+        << "item " << i;
+  }
+  EXPECT_EQ(report.node_losses, 1u);
+  EXPECT_EQ(report.respawns, 1u);  // the arrival's fork, not the backoff's
+}
+
+TEST(RecoverIntegration, RespawnAfterBackoffReplaysItemsAdmittedMeanwhile) {
+  core::RunReport report;
+  const std::vector<Bytes> outputs = stream_across_backoff(
+      50.0, [](proc::ProcessExecutor&) {}, report);
+  ASSERT_EQ(outputs.size(), 30u) << "the respawn skipped the replay it owed";
+  for (int i = 0; i < 30; ++i) {
+    EXPECT_EQ(int_of_bytes(outputs[static_cast<std::size_t>(i)]),
+              (i + 1) * 3 - 1)
+        << "item " << i;
+  }
+  EXPECT_EQ(report.node_losses, 1u);
+  EXPECT_EQ(report.respawns, 1u);
 }
 
 TEST(RecoverIntegration, ArrivalRequestsAreValidated) {
